@@ -17,6 +17,7 @@ translations and modulations zero this is the plain tri-tile sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,11 +25,11 @@ import numpy as np
 from .signal import Interval, SampledFunction, corona_count, corona
 from .tiles import (
     Collection,
-    Tree,
+    Tile,
     TriTile,
     WavePacketProfile,
+    _packet,
     default_profile,
-    maximal_tree,
     packet_coefficient,
     size_star,
     wave_packet,
@@ -110,119 +111,44 @@ class ModelSum:
         return replace(self, collection=Collection(tiles), terms=terms)
 
 
-def _shifted_tile_interval(tile: TriTile, v: int) -> Interval:
-    return Interval(tile.time.center + v * tile.time.length, tile.time.length)
-
-
-def _term_eval_generic(model, term, f, g, out):
-    tile = model.collection.tiles[term.tile_index]
-    p1, p2, p3 = model.get_profiles()
-    mu1, mu2, mu3 = term.modulations
-    v1, v2, v3 = term.translations
-    from .tiles import Tile
-
-    I = tile.time
-    pkt1 = wave_packet(Tile(_shifted_tile_interval(tile, v1), tile.subs[0]), p1, f)
-    pkt2 = wave_packet(Tile(_shifted_tile_interval(tile, v2), tile.subs[1]), p2, g)
-    pkt3 = wave_packet(Tile(_shifted_tile_interval(tile, v3), tile.subs[2]), p3, f)
-    fmod = f.values * np.exp(2j * np.pi * mu1 * f.x)
-    gmod = g.values * np.exp(2j * np.pi * mu2 * g.x)
-    c1 = np.sum(np.conjugate(pkt1.values) * fmod) * f.spacing
-    c2 = np.sum(np.conjugate(pkt2.values) * gmod) * g.spacing
-    out += (
-        term.coeff
-        / np.sqrt(I.length)
-        * c1
-        * c2
-        * pkt3.values
-        * np.exp(-2j * np.pi * mu3 * f.x)
-    )
-
-
-def _group_key(model, term):
-    tile = model.collection.tiles[term.tile_index]
-    return (
-        round(tile.time.length, 12),
-        tuple((round(w.center, 12), round(w.length, 12)) for w in tile.subs),
-        term.translations,
-        term.modulations,
-    )
-
-
-def _term_alignment(model, term, f):
-    """Grid-aligned envelope positions for all three slots, or None."""
-    tile = model.collection.tiles[term.tile_index]
-    h = f.spacing
-    L = tile.time.length
-    if abs(L / h - round(L / h)) > 1e-9:
-        return None
-    idx = []
-    for v in term.translations:
-        a = tile.time.center + v * L
-        t = (a - f.origin) / h
-        if abs(t - round(t)) > 1e-6:
-            return None
-        idx.append(int(round(t)) % f.n)
-    return tuple(idx)
-
-
-def _eval_group_vectorized(model, terms, f, g, out):
-    """All terms share geometry except the time center; slide one envelope."""
-    tile0 = model.collection.tiles[terms[0].tile_index]
-    p1, p2, p3 = model.get_profiles()
-    mu1, mu2, mu3 = terms[0].modulations
-    L = tile0.time.length
-    h = f.spacing
-    n = f.n
-    c1w, c2w, c3w = (w.center for w in tile0.subs)
-
-    radius = max(p.effective_radius for p in (p1, p2, p3)) * L
-    S = min(int(np.ceil(radius / h)), n // 2 - 1)
-    offs = (np.arange(2 * S + 1) - S) * h
-    env1 = p1.time_eval(offs / L)
-    env2 = p2.time_eval(offs / L)
-    env3 = p3.time_eval(offs / L)
-
-    q1 = np.exp(-2j * np.pi * (c1w - mu1) * f.x) * f.values
-    q2 = np.exp(-2j * np.pi * (c2w - mu2) * g.x) * g.values
-
-    idx = np.array([_term_alignment(model, t, f) for t in terms])  # (K, 3)
-    coeffs = np.array([t.coeff for t in terms])
-    window = (idx[:, :, None] + np.arange(-S, S + 1)[None, None, :]) % n
-
-    C1 = (np.conjugate(env1)[None, :] * q1[window[:, 0, :]]).sum(axis=1) * h / np.sqrt(L)
-    C2 = (np.conjugate(env2)[None, :] * q2[window[:, 1, :]]).sum(axis=1) * h / np.sqrt(L)
-    w = coeffs / np.sqrt(L) * C1 * C2 / np.sqrt(L)
-
-    buf = np.zeros(n, dtype=complex)
-    np.add.at(buf, window[:, 2, :].ravel(), (w[:, None] * env3[None, :]).ravel())
-    out += buf * np.exp(2j * np.pi * (c3w - mu3) * f.x)
-
-
 def model_sum_eval(model: ModelSum, f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Evaluate the model sum on (f, g).
+    """Evaluate the model sum on (f, g) from its definition, term by term.
 
-    Terms whose envelope centers sit on the grid lattice are evaluated in
-    vectorized groups (one sliding envelope per group); the rest fall back to
-    a per-term loop.  Both paths compute the identical sum.
+    Each term is coeff |I|^{-1/2} <phi1, e^{2 pi i mu_1 x} f>
+    <phi2, e^{2 pi i mu_2 x} g> e^{-2 pi i mu_3 x} phi3 with full packets,
+    the same values `wave_packet` returns for the translated tiles, and
+    coefficients from `packet_coefficient`.  Every term passes
+    `wave_packet`'s guards, so a tile the grid cannot resolve raises.
+    Each distinct frequency's carrier e^{2 pi i x xi} is computed once per
+    call and shared by the packets and modulations that use it.
     """
     if not f.same_grid(g):
         raise ValueError("f and g must share one grid")
+    profiles = model.get_profiles()
+    waves: dict = {}
+
+    def wave(freq: float) -> np.ndarray:
+        if freq not in waves:
+            waves[freq] = np.exp(2j * np.pi * f.x * freq)
+        return waves[freq]
+
     out = np.zeros(f.n, dtype=complex)
-    groups: dict = {}
-    loose = []
     for term in model.terms:
-        if _term_alignment(model, term, f) is not None:
-            groups.setdefault(_group_key(model, term), []).append(term)
-        else:
-            loose.append(term)
-    # aligned terms always take the enveloped path (so a term evaluates the
-    # same way no matter how the sum is partitioned); misaligned tiles fall
-    # back to full packets
-    for terms in groups.values():
-        _eval_group_vectorized(model, terms, f, g, out)
-    for term in loose:
-        _term_eval_generic(model, term, f, g, out)
+        tile = model.collection.tiles[term.tile_index]
+        I = tile.time
+        mu1, mu2, mu3 = term.modulations
+        pkts = [
+            _packet(
+                Tile(Interval(I.center + v * I.length, I.length), w),
+                profile,
+                f,
+                wave(w.center),
+            )
+            for v, w, profile in zip(term.translations, tile.subs, profiles)
+        ]
+        c1 = packet_coefficient(pkts[0], f.with_values(f.values * wave(mu1)))
+        c2 = packet_coefficient(pkts[1], g.with_values(g.values * wave(mu2)))
+        out += term.coeff / math.sqrt(I.length) * c1 * c2 * pkts[2].values * wave(-mu3)
     return f.with_values(out)
 
 

@@ -12,6 +12,7 @@ inputs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -380,6 +381,39 @@ def default_profile() -> WavePacketProfile:
     return WavePacketProfile.from_freq_window(smooth_bump)
 
 
+@lru_cache(maxsize=64)
+def _envelope(
+    profile: WavePacketProfile, length: float, delta: float, n: int, h: float
+) -> np.ndarray:
+    """|I|^{-1/2} Phi(wrap((j - delta) h) / |I|) for j = 0 .. n-1: the packet
+    envelope centred `delta` cells past grid point 0.  Read-only, because
+    every caller with the same key shares it."""
+    P = n * h
+    disp = np.mod((np.arange(n) - delta) * h + P / 2, P) - P / 2
+    env = profile.time_eval(disp / length) / np.sqrt(length)
+    env.setflags(write=False)
+    return env
+
+
+def _packet(
+    tile: Tile, profile: WavePacketProfile, grid: SampledFunction, carrier: np.ndarray
+) -> SampledFunction:
+    """`wave_packet` with the carrier e^{2 pi i x c(omega)} supplied by the
+    caller, so callers that share a sub-frequency compute it once."""
+    I, omega = tile.time, tile.freq
+    if I.length < 4 * grid.spacing:
+        raise ValueError(f"tile time length {I.length} under-resolved (4h = {4 * grid.spacing})")
+    nyquist = 0.5 / grid.spacing
+    if abs(omega.center) + 0.5 * omega.length > nyquist:
+        raise ValueError("tile frequency interval exceeds the grid's Nyquist range")
+    if profile.effective_radius * I.length > grid.period / 2:
+        raise ValueError("tile too long for the grid window: packet tails would wrap onto themselves")
+    cells = (I.center - grid.origin) / grid.spacing
+    shift = math.floor(cells)
+    env = _envelope(profile, I.length, cells - shift, grid.n, grid.spacing)
+    return grid.with_values(np.roll(env, shift) * carrier)
+
+
 def wave_packet(tile: Tile, profile: WavePacketProfile, grid: SampledFunction) -> SampledFunction:
     """The packet |I|^{-1/2} Phi((x - c(I)) / |I|) e^{2 pi i x c(omega)}.
 
@@ -394,20 +428,15 @@ def wave_packet(tile: Tile, profile: WavePacketProfile, grid: SampledFunction) -
     amplitude, and an accepted tile may leak that much (3e-5 to 5e-5 seen)
     outside `tile.freq`.  Tighter confinement needs a window several times
     wider than the guard asks for.
+
+    The envelope is evaluated in full, never cut at the footprint.  With
+    c(I) = x_0 + (m + delta) h, m an integer and 0 <= delta < 1, it is the
+    envelope centred `delta` cells past x_0, rolled by m cells.  Envelopes
+    are cached read-only by (profile, |I|, delta, n, h), with delta
+    unrounded, for the 64 most recently used keys, so packets that differ
+    only in their time cell or frequency evaluate the profile once.
     """
-    I, omega = tile.time, tile.freq
-    if I.length < 4 * grid.spacing:
-        raise ValueError(f"tile time length {I.length} under-resolved (4h = {4 * grid.spacing})")
-    nyquist = 0.5 / grid.spacing
-    if abs(omega.center) + 0.5 * omega.length > nyquist:
-        raise ValueError("tile frequency interval exceeds the grid's Nyquist range")
-    if profile.effective_radius * I.length > grid.period / 2:
-        raise ValueError("tile too long for the grid window: packet tails would wrap onto themselves")
-    P = grid.period
-    disp = np.mod(grid.x - I.center + P / 2, P) - P / 2
-    vals = profile.time_eval(disp / I.length) / np.sqrt(I.length)
-    vals = vals * np.exp(2j * np.pi * grid.x * omega.center)
-    return grid.with_values(vals)
+    return _packet(tile, profile, grid, np.exp(2j * np.pi * grid.x * tile.freq.center))
 
 
 def packet_coefficient(packet: SampledFunction, f: SampledFunction) -> complex:
@@ -435,14 +464,6 @@ class Tree:
                 raise ValueError("tree member time interval escapes the top")
             if not s.subs[self.index].contains(self.top.subs[self.index]):
                 raise ValueError("top's sub-frequency must nest inside every member's")
-
-
-def is_tree(members, top: TriTile, j: int) -> bool:
-    try:
-        Tree(j, top, tuple(members))
-    except ValueError:
-        return False
-    return True
 
 
 def size_tree(tree: Tree, f: SampledFunction, profile: WavePacketProfile | None = None) -> float:

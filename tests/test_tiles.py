@@ -69,6 +69,15 @@ class TestWavePacket:
         pkt = wave_packet(Tile(Interval(0.0, 1.0), Interval(0.0, 1.0)), p, g)
         direct = p.time_eval(g.x)
         assert np.max(np.abs(pkt.values - direct)) < 1e-10
+        # Origin off the lattice, centres at fractional cell offsets, one
+        # packet wrapping round the window edge.
+        g = SampledFunction.zeros(g.origin + 0.37 * g.spacing, g.spacing, g.n)
+        P = g.period
+        for c, L, w in ((0.0, 1.0, 0.0), (3.3, 2.0, 1.25), (-17.05, 4.0, -0.6), (120.0, 0.5, 3.0)):
+            pkt = wave_packet(Tile(Interval(c, L), Interval(w, 1.0 / L)), p, g)
+            disp = np.mod(g.x - c + P / 2, P) - P / 2
+            direct = p.time_eval(disp / L) / np.sqrt(L) * np.exp(2j * np.pi * g.x * w)
+            assert np.max(np.abs(pkt.values - direct)) < 1e-12
 
     def test_random_tiles_normalized_and_band_confined(self):
         rng = np.random.default_rng(40)
