@@ -14,7 +14,6 @@ __all__ = [
     "smooth_step",
     "smooth_cutoff",
     "smooth_bump",
-    "plateau_window",
 ]
 
 
@@ -50,14 +49,3 @@ def smooth_bump(t):
     ti = t[inside]
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
     return out
-
-
-def plateau_window(t, flat: float, support: float):
-    """Even window: 1 on |t| <= flat, 0 on |t| >= support, smooth between.
-
-    Requires 0 < flat < support.
-    """
-    if not 0.0 < flat < support:
-        raise ValueError(f"need 0 < flat < support, got flat={flat}, support={support}")
-    t = np.abs(np.asarray(t, dtype=float))
-    return 1.0 - smooth_step((t - flat) / (support - flat))

@@ -18,7 +18,7 @@ translations and modulations zero this is the plain tri-tile sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class ModelSum:
     terms: tuple
     profiles: tuple | None = None  # three WavePacketProfiles; default profile if None
     damping_exponent: int = 8
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -78,11 +77,6 @@ class ModelSum:
             return self.profiles
         p = default_profile()
         return (p, p, p)
-
-    def scaled(self, factor: complex) -> "ModelSum":
-        return replace(
-            self, terms=tuple(replace(t, coeff=t.coeff * factor) for t in self.terms)
-        )
 
     def coefficient_bound(self) -> float:
         """max over terms of |coeff| * (1 + |u|^2)^damping: the bounded-weight

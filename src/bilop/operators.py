@@ -20,7 +20,7 @@ symbol is the complex conjugate, -i pi sign(l1 a + l2 b), of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,19 +63,13 @@ def eval_direct_reference(symbol: Symbol, f: SampledFunction, g: SampledFunction
     x = f.x
     A, B = np.meshgrid(xi, xi, indexing="ij")
     phases = np.exp(2j * np.pi * np.outer(x, xi))  # phases[j, a] = e^{2 pi i x_j xi_a}
+    fixed = None if symbol.x_dependent else symbol(0.0, A, B)
     out = np.empty(f.n, dtype=complex)
-    if not symbol.x_dependent:
-        M = symbol(0.0, A, B)
-        for j in range(f.n):
-            left = phases[j] * F.values
-            right = phases[j] * G.values
-            out[j] = left @ M @ right
-    else:
-        for j in range(f.n):
-            M = symbol(x[j], A, B)
-            left = phases[j] * F.values
-            right = phases[j] * G.values
-            out[j] = left @ M @ right
+    for j in range(f.n):
+        M = symbol(x[j], A, B) if fixed is None else fixed
+        left = phases[j] * F.values
+        right = phases[j] * G.values
+        out[j] = left @ M @ right
     return f.with_values(out * dxi * dxi)
 
 
@@ -98,18 +92,13 @@ def _eval_fast_x_independent(symbol: Symbol, f: SampledFunction, g: SampledFunct
     return f.with_values(out)
 
 
-def eval_direct(
-    symbol: Symbol,
-    f: SampledFunction,
-    g: SampledFunction,
-    force_reference: bool = False,
-) -> SampledFunction:
+def eval_direct(symbol: Symbol, f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """Evaluate the bilinear operator of `symbol` on (f, g).
 
-    Uses the FFT fast path for x-independent symbols unless
-    `force_reference`; both paths agree to 1e-10 relative.
+    Uses the FFT fast path for x-independent symbols and the reference path
+    otherwise; on x-independent symbols the two agree to 1e-10 relative.
     """
-    if symbol.x_dependent or force_reference:
+    if symbol.x_dependent:
         return eval_direct_reference(symbol, f, g)
     return _eval_fast_x_independent(symbol, f, g)
 
@@ -170,13 +159,10 @@ def kernel_from_symbol(
 
     u = axis[:, None] - axis[None, :]  # u[i, k] = x_i - y_k (same table for z)
     phase_u = np.exp(2j * np.pi * np.multiply.outer(u, xi))  # [ix, iy, a]
+    fixed = None if symbol.x_dependent else symbol(0.0, A, B) * w
     vals = np.empty((axis.size, axis.size, axis.size), dtype=complex)
     for i, xv in enumerate(axis):
-        M = symbol(xv, A, B) * w if symbol.x_dependent else None
-        if M is None:
-            if i == 0:
-                M0 = symbol(0.0, A, B) * w
-            M = M0
+        M = symbol(xv, A, B) * w if fixed is None else fixed
         # K(x_i, y, z) = phase_u[i, y, :] @ M @ phase_u[i, z, :]^T * dxi^2
         left = phase_u[i]  # [iy, a]
         vals[i] = (left @ M @ left.T) * dxi * dxi
@@ -297,9 +283,7 @@ class TruncationLadder:
             (not np.all(np.asarray(x, dtype=float) > 0)) for x in r
         ):
             raise ValueError("ladder entries must be positive")
-        if sorted(r) != r:
-            raise ValueError("ladder must be strictly increasing")
-        if len(set(r)) != len(r):
+        if any(not lo < hi for lo, hi in zip(r, r[1:])):
             raise ValueError("ladder must be strictly increasing")
 
     @classmethod
@@ -360,7 +344,10 @@ def maximal_avg(
 
     Radii snap to half-integer grid multiples r_hat = (2M+1)h/2 so each
     average is the plain mean over a symmetric window of grid shifts; the
-    constant pair f = g = 1 then yields exactly 2 at every radius.
+    constant pair f = g = 1 then yields exactly 2 at every radius.  One pass
+    over the ladder in O(n) memory: a running window sum gains only the
+    shifts +-m each radius adds, so the cost is O(n) per grid shift of the
+    largest radius.
     """
     if not f.same_grid(g):
         raise ValueError("f and g must share one grid")
@@ -370,12 +357,15 @@ def maximal_avg(
     af = np.abs(f.values)
     ag = np.abs(g.values)
     best = np.zeros(f.n)
+    acc = af * ag  # the running window sum over the shifts |m| <= summed
+    summed = 0
     for r in ladder.radii:
+        # the ladder increases, so the snapped half-width never decreases
         M = _avg_radius_cells(r, h)
+        for m in range(summed + 1, M + 1):
+            acc += np.roll(af, m) * np.roll(ag, -m) + np.roll(af, -m) * np.roll(ag, m)
+        summed = M
         r_hat = (2 * M + 1) * h / 2.0
-        acc = np.zeros(f.n)
-        for m in range(-M, M + 1):
-            acc += np.roll(af, m) * np.roll(ag, -m)
         best = np.maximum(best, acc * h / r_hat)
     return f.with_values(best.astype(complex))
 
@@ -426,14 +416,12 @@ def _x_derivative_symbol(symbol: Symbol, order: int, step: float = 1e-2) -> Symb
     """Fourth-order central finite difference of sigma in x, orders 0..2."""
     if order == 0:
         return symbol
+    name = f"{symbol.name}_dx{order}"
     if not symbol.x_dependent:
-        return Symbol(
+        return replace(
+            symbol,
             eval=lambda x, a, b: np.zeros(np.broadcast(x, a, b).shape, dtype=complex),
-            line=symbol.line,
-            scale=symbol.scale,
-            x_dependent=False,
-            declared_class=symbol.declared_class,
-            name=f"{symbol.name}_dx{order}",
+            name=name,
         )
     if order == 1:
         def _eval(x, a, b):
@@ -454,14 +442,7 @@ def _x_derivative_symbol(symbol: Symbol, order: int, step: float = 1e-2) -> Symb
             ) / (12 * step * step)
     else:
         raise ValueError("x-derivative implemented for orders 0..2")
-    return Symbol(
-        eval=_eval,
-        line=symbol.line,
-        scale=symbol.scale,
-        x_dependent=True,
-        declared_class=symbol.declared_class,
-        name=f"{symbol.name}_dx{order}",
-    )
+    return replace(symbol, eval=_eval, name=name)
 
 
 def derivation_identity_check(

@@ -44,7 +44,6 @@ __all__ = [
     "make_band_limited_bump",
     "bump_bandwidth",
     "bump_values",
-    "evaluate_spectrum_at",
     "EmptyRegionWarning",
 ]
 
@@ -80,9 +79,6 @@ class Interval:
         """Same center, length scaled by `factor`."""
         return Interval(self.center, self.length * factor)
 
-    def translate(self, shift: float) -> "Interval":
-        return Interval(self.center + shift, self.length)
-
     def contains(self, other: "Interval") -> bool:
         """Closed-inclusion test on endpoints (tolerates roundoff)."""
         eps = 1e-12 * max(1.0, self.length)
@@ -94,14 +90,6 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return other.left < self.right and self.left < other.right
-
-    def center_distance(self, x) -> np.ndarray:
-        """|x - c(I)|, the library-wide rendering of d(x, I)."""
-        return np.abs(np.asarray(x, dtype=float) - self.center)
-
-    def gap_to(self, other: "Interval") -> float:
-        """Set distance between two intervals (0 if they overlap)."""
-        return max(0.0, max(self.left, other.left) - min(self.right, other.right))
 
     def mask(self, grid: "SampledFunction | np.ndarray") -> np.ndarray:
         """Open mask {x : |x - c| < length/2} on the grid points."""
@@ -262,21 +250,6 @@ def dft_inverse(spec: Spectrum, origin: float | None = None) -> SampledFunction:
     return SampledFunction(origin, h, out)
 
 
-def evaluate_spectrum_at(spec: Spectrum, points: np.ndarray) -> np.ndarray:
-    """Trigonometric evaluation sum_k F(xi_k) e^{2 pi i x xi_k} dxi at arbitrary x.
-
-    Exact band-limited interpolation of the function represented by `spec`;
-    cost O(len(points) * n_nonzero_bins).
-    """
-    points = np.asarray(points, dtype=float)
-    nz = np.nonzero(np.abs(spec.values) > 0)[0]
-    if nz.size == 0:
-        return np.zeros(points.shape, dtype=complex)
-    xi = spec.x[nz]
-    coef = spec.values[nz] * spec.spacing
-    return np.exp(2j * np.pi * np.outer(points, xi)) @ coef
-
-
 def lp_norm(f: SampledFunction, p: float, region: np.ndarray | None = None) -> float:
     """Riemann-sum L^p norm over a mask-defined region; p = inf gives the max.
 
@@ -327,23 +300,20 @@ def hardy_littlewood_max(f: SampledFunction) -> SampledFunction:
     """Discrete Hardy-Littlewood maximal function.
 
     At each grid point, the supremum of the plain average of |f| over all
-    contiguous (non-wrapping) index windows containing the point.  O(n^2)
-    time and memory.
+    contiguous (non-wrapping) index windows containing the point.  One sweep
+    over window starts: O(n^2) time and O(n) memory.
     """
     a = np.abs(f.values).astype(float)
     n = a.size
     prefix = np.concatenate([[0.0], np.cumsum(a)])
-    start = np.arange(n)[:, None]
-    stop = np.arange(n)[None, :]
-    lengths = stop - start + 1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = (prefix[stop + 1] - prefix[start]) / lengths
-    means[lengths <= 0] = -np.inf
-    # suffix max over window ends, then prefix max over window starts
-    suffix = np.maximum.accumulate(means[:, ::-1], axis=1)[:, ::-1]
-    best = np.maximum.accumulate(suffix, axis=0)
-    out = best[np.arange(n), np.arange(n)]
-    return f.with_values(out.astype(complex))
+    best = np.zeros(n)
+    for start in range(n):
+        # means of the windows [start, stop] for every stop, then for each
+        # point the best window that starts here and reaches past it
+        means = (prefix[start + 1:] - prefix[start]) / np.arange(1, n - start + 1)
+        reach = np.maximum.accumulate(means[::-1])[::-1]
+        np.maximum(best[start:], reach, out=best[start:])
+    return f.with_values(best.astype(complex))
 
 
 def spectral_derivative(f: SampledFunction, order: int = 1) -> SampledFunction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +27,7 @@ from .signal import (
     dft_forward,
     dft_inverse,
     lp_norm,
+    spectral_derivative,
 )
 
 __all__ = [
@@ -368,12 +369,6 @@ class WavePacketProfile:
         out = np.exp(2j * np.pi * np.multiply.outer(t, self._freqs)) @ self._coefs
         return np.where(np.abs(t) <= self._half_period, out, 0.0)
 
-    def derivative_samples(self, order: int) -> SampledFunction:
-        """Profile derivative of the given order on the native grid."""
-        spec = dft_forward(self.samples)
-        mult = (2j * np.pi * spec.x) ** order
-        return dft_inverse(Spectrum(spec.origin, spec.spacing, spec.values * mult), self.samples.origin)
-
 
 @lru_cache(maxsize=1)
 def default_profile() -> WavePacketProfile:
@@ -551,7 +546,7 @@ def profile_seminorm(profile: WavePacketProfile, M: int) -> float:
     weight = (1.0 + np.abs(t)) ** M
     total = np.zeros(t.shape)
     for k in range(M + 1):
-        total += np.abs(profile.derivative_samples(k).values)
+        total += np.abs(spectral_derivative(profile.samples, k).values)
     return float(np.max(weight * total))
 
 

@@ -256,6 +256,11 @@ class TestMaximalFreq:
         with pytest.raises(ValueError):
             TruncationLadder(())
 
+    @pytest.mark.parametrize("radii", [(0.5, 1.0, 1.0, 2.0), (0.5, 2.0, 1.0)])
+    def test_non_increasing_ladder_rejected(self, radii):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TruncationLadder(radii)
+
 
 class TestMaximalAvg:
     def test_constant_pair_gives_two(self):
@@ -274,21 +279,23 @@ class TestMaximalAvg:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(32)
         f, h = random_pair(rng, n=64)
-        ladder = TruncationLadder((0.4, 1.1, 2.3))
-        out = maximal_avg(f, h, 3.0, ladder)
-        # direct triple loop with the same snapped windows
         hh = f.spacing
         af, ag = np.abs(f.values), np.abs(h.values)
-        expected = np.zeros(f.n)
-        for r in ladder.radii:
-            M = max(int(np.floor(r / hh - 0.5 + 1e-12)), 0)
-            r_hat = (2 * M + 1) * hh / 2
-            for j in range(f.n):
-                s = 0.0
-                for m in range(-M, M + 1):
-                    s += af[(j - m) % f.n] * ag[(j + m) % f.n]
-                expected[j] = max(expected[j], s * hh / r_hat)
-        assert np.max(np.abs(out.values.real - expected)) < 1e-12
+        # on the h = 0.25 grid the second ladder snaps to M = 0, 0, 1, 1, 3, 8
+        for radii in [(0.4, 1.1, 2.3), (0.05, 0.1, 0.4, 0.45, 1.1, 2.3)]:
+            ladder = TruncationLadder(radii)
+            out = maximal_avg(f, h, 3.0, ladder)
+            # direct triple loop with the same snapped windows
+            expected = np.zeros(f.n)
+            for r in ladder.radii:
+                M = max(int(np.floor(r / hh - 0.5 + 1e-12)), 0)
+                r_hat = (2 * M + 1) * hh / 2
+                for j in range(f.n):
+                    s = 0.0
+                    for m in range(-M, M + 1):
+                        s += af[(j - m) % f.n] * ag[(j + m) % f.n]
+                    expected[j] = max(expected[j], s * hh / r_hat)
+            assert np.max(np.abs(out.values.real - expected)) < 1e-12
 
     def test_cauchy_schwarz_domination(self):
         rng = np.random.default_rng(33)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,9 +193,25 @@ class TestHardyLittlewood:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         f = random_function(rng, n=64)
-        m = hardy_littlewood_max(f)
-        oracle = brute_force_hl(f)
-        assert np.max(np.abs(m.values.real - oracle)) == 0.0
+        edges = np.zeros(64, dtype=complex)
+        edges[0], edges[-1] = 5.0, -2.0j  # spikes at both ends, zeros between
+        runs = f.values.copy()
+        runs[3:30] = 0.0
+        runs[40:63] = 0.0
+        for g in (f, f.with_values(edges), f.with_values(runs)):
+            m = hardy_littlewood_max(g)
+            oracle = brute_force_hl(g)
+            assert np.max(np.abs(m.values.real - oracle)) == 0.0
+
+    def test_linear_memory(self):
+        f = random_function(np.random.default_rng(15), n=2048)
+        tracemalloc.start()
+        try:
+            hardy_littlewood_max(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # three n x n tables would take about 100 MB
 
     def test_single_cell_decay(self):
         n = 128
