@@ -75,14 +75,20 @@ class TestEvalDirect:
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_fast_matches_reference(self):
+        # off-lattice origins too: the fold's phases depend on the origin
         rng = np.random.default_rng(22)
-        f, g = random_pair(rng, n=32)
-        for _ in range(5):
-            sym = table_symbol(rng, f)
-            fast = eval_direct(sym, f, g)
-            ref = eval_direct_reference(sym, f, g)
-            scale = np.max(np.abs(ref.values))
-            assert np.max(np.abs(fast.values - ref.values)) <= 1e-10 * scale
+        for n in (32, 64, 128):
+            h = 16.0 / n
+            for shift in (0.0, h / 2, 0.3):
+                f, g = random_pair(rng, n=n)
+                f = SampledFunction(f.origin + shift, h, f.values)
+                g = SampledFunction(g.origin + shift, h, g.values)
+                for _ in range(5 if n == 32 else 2):
+                    sym = table_symbol(rng, f)
+                    fast = eval_direct(sym, f, g)
+                    ref = eval_direct_reference(sym, f, g)
+                    scale = np.max(np.abs(ref.values))
+                    assert np.max(np.abs(fast.values - ref.values)) <= 1e-10 * scale
 
     def test_bilinearity(self):
         rng = np.random.default_rng(23)
@@ -203,11 +209,71 @@ class TestBhtTruncated:
         rel_same = np.max(np.abs(quad_route.values - freq_route.values)) / scale
         assert rel_same > 1.0
 
-    def test_bad_radii_rejected(self):
+    def test_matches_node_by_node_definition(self):
+        # the node-by-node algorithm: shift each input spectrally with
+        # dft_inverse at every node, then sum the paired +-y products
+        import tracemalloc
+
+        from bilop.signal import Spectrum, dft_forward, dft_inverse
+
+        npo = 16
+        eps, R = 0.01, 8.0
+        for shift in (0.0, 0.125):
+            g = SampledFunction.zeros(-32.0 + shift, 0.25, 256)
+            f = make_band_limited_bump(-3.0, 1.0, g, freq_center=0.4)
+            k = make_band_limited_bump(2.0, 1.0, g, freq_center=-0.3)
+            specs = []
+            for fn in (f, k):
+                spec = dft_forward(fn)
+                v = spec.values.copy()
+                v[0] = 0.0  # the Nyquist bin bht_truncated drops
+                specs.append(Spectrum(spec.origin, spec.spacing, v))
+
+            def shifted(spec, amount):
+                phase = np.exp(-2j * np.pi * spec.x * amount)
+                return dft_inverse(Spectrum(spec.origin, spec.spacing, spec.values * phase), g.origin).values
+
+            m = int(np.ceil(np.log2(R / eps) * npo))
+            u = np.linspace(np.log(eps), np.log(R), m + 1)
+            w = np.full(m + 1, u[1] - u[0])
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            for l1, l2 in [(1.0, -1.0), (1.0, -2.0), (0.7, 2.3)]:
+                ref = np.zeros(g.n, dtype=complex)
+                for yk, wk in zip(np.exp(u), w):
+                    plus = shifted(specs[0], l1 * yk) * shifted(specs[1], l2 * yk)
+                    minus = shifted(specs[0], -l1 * yk) * shifted(specs[1], -l2 * yk)
+                    ref += wk * (plus - minus)
+                out = bht_truncated(f, k, SingularLine(l1, l2), eps, R, nodes_per_octave=npo)
+                assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        # batches bound the memory: stacking all 2.5k nodes at n = 2048
+        # peaks near 0.5 GB
+        g = grid(2048, 256.0)
+        f = make_band_limited_bump(0.0, 1.0, g)
+        tracemalloc.start()
+        try:
+            bht_truncated(f, f, LINE, 0.01, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"eps": 2.0, "R": 1.0}, "eps"),
+            ({"eps": 0.1, "R": np.inf}, "R must be finite"),
+            ({"eps": 0.1, "R": 1.0, "nodes_per_octave": 0}, "nodes_per_octave"),
+            ({"eps": 0.1, "R": 1.0, "nodes_per_octave": -4}, "nodes_per_octave"),
+        ],
+        ids=["eps_above_R", "R_infinite", "nodes_zero", "nodes_negative"],
+    )
+    def test_bad_radii_rejected(self, kwargs, match):
         g = grid(64)
         f = g.with_values(np.ones(64, dtype=complex))
-        with pytest.raises(ValueError):
-            bht_truncated(f, f, LINE, eps=2.0, R=1.0)
+        with pytest.raises(ValueError, match=match):
+            bht_truncated(f, f, LINE, **kwargs)
 
 
 class TestMaximalFreq:
