@@ -23,6 +23,7 @@ symbol is the complex conjugate, -i pi sign(l1 a + l2 b), of
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "BilinearKernel",
     "TruncationLadder",
     "kernel_from_symbol",
+    "kernel_decay_fit",
     "bht_truncated",
     "maximal_freq",
     "maximal_avg",
@@ -52,21 +54,33 @@ def _spectra(f: SampledFunction, g: SampledFunction):
     return dft_forward(f), dft_forward(g)
 
 
+_REFERENCE_BLOCK = 64  # output rows per matrix product on the reference x-independent branch
+
+
 def eval_direct_reference(symbol: Symbol, f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """O(n^3) double frequency sum; the oracle of record."""
+    """O(n^3) double frequency sum; the oracle of record.
+
+    An x-independent symbol is evaluated once and summed over blocks of
+    output rows by matrix products; an x-dependent one is evaluated per row.
+    """
     F, G = _spectra(f, g)
     xi = F.x
     dxi = F.spacing
     x = f.x
     A, B = np.meshgrid(xi, xi, indexing="ij")
-    phases = np.exp(2j * np.pi * np.outer(x, xi))  # phases[j, a] = e^{2 pi i x_j xi_a}
-    fixed = None if symbol.x_dependent else symbol(0.0, A, B)
     out = np.empty(f.n, dtype=complex)
-    for j in range(f.n):
-        M = symbol(x[j], A, B) if fixed is None else fixed
-        left = phases[j] * F.values
-        right = phases[j] * G.values
-        out[j] = left @ M @ right
+    if symbol.x_dependent:
+        phases = np.exp(2j * np.pi * np.outer(x, xi))  # phases[j, a] = e^{2 pi i x_j xi_a}
+        for j in range(f.n):
+            M = symbol(x[j], A, B)
+            left = phases[j] * F.values
+            right = phases[j] * G.values
+            out[j] = left @ M @ right
+    else:
+        M = symbol(0.0, A, B)
+        for lo in range(0, f.n, _REFERENCE_BLOCK):
+            p = np.exp(2j * np.pi * np.outer(x[lo : lo + _REFERENCE_BLOCK], xi))
+            out[lo : lo + _REFERENCE_BLOCK] = np.sum(((p * F.values) @ M) * (p * G.values), axis=1)
     return f.with_values(out * dxi * dxi)
 
 
@@ -286,20 +300,18 @@ def bht_truncated(
 
 @dataclass(frozen=True)
 class TruncationLadder:
-    """Sorted positive truncation radii (or (eps, r) pairs) for maximal sups."""
+    """Strictly increasing, finite, positive truncation radii for maximal sups."""
 
     radii: tuple
 
     def __post_init__(self):
         if len(self.radii) == 0:
-            raise ValueError("empty truncation ladder")
+            raise ValueError("radii: empty truncation ladder")
         r = list(self.radii)
-        if any(
-            (not np.all(np.asarray(x, dtype=float) > 0)) for x in r
-        ):
-            raise ValueError("ladder entries must be positive")
+        if not all(isinstance(x, numbers.Real) and np.isfinite(x) and x > 0 for x in r):
+            raise ValueError(f"radii must be finite positive scalars, got {self.radii}")
         if any(not lo < hi for lo, hi in zip(r, r[1:])):
-            raise ValueError("ladder must be strictly increasing")
+            raise ValueError("radii must be strictly increasing")
 
     @classmethod
     def dyadic(cls, r_min: float, r_max: float, per_octave: int = 1) -> "TruncationLadder":

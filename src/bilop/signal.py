@@ -19,7 +19,6 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -145,45 +144,6 @@ class SampledFunction:
         _check_power_of_two(n)
         return cls(origin, spacing, np.zeros(n, dtype=complex))
 
-    @classmethod
-    def from_callable(cls, fn, origin: float, spacing: float, n: int) -> "SampledFunction":
-        _check_power_of_two(n)
-        x = origin + spacing * np.arange(n)
-        return cls(origin, spacing, np.asarray(fn(x), dtype=complex))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_csv(self, path):
-        rows = np.column_stack([self.x, self.values.real, self.values.imag])
-        header = "x,re,im"
-        np.savetxt(path, rows, delimiter=",", header=header, comments="")
-
-    @classmethod
-    def from_csv(cls, path) -> "SampledFunction":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        x = rows[:, 0]
-        if x.size < 2:
-            raise ValueError("need at least two samples")
-        spacing = float(x[1] - x[0])
-        if not np.allclose(np.diff(x), spacing, rtol=1e-9, atol=1e-9 * spacing):
-            raise ValueError("grid in CSV is not uniform")
-        return cls(float(x[0]), spacing, rows[:, 1] + 1j * rows[:, 2])
-
-    def to_binary(self, path):
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<ddQ", self.origin, self.spacing, self.n))
-            pairs = np.empty((self.n, 2), dtype="<f8")
-            pairs[:, 0] = self.values.real
-            pairs[:, 1] = self.values.imag
-            fh.write(pairs.tobytes())
-
-    @classmethod
-    def from_binary(cls, path) -> "SampledFunction":
-        with open(path, "rb") as fh:
-            origin, spacing, n = struct.unpack("<ddQ", fh.read(24))
-            pairs = np.frombuffer(fh.read(int(n) * 16), dtype="<f8").reshape(int(n), 2)
-        return cls(origin, spacing, pairs[:, 0] + 1j * pairs[:, 1])
-
 
 class Spectrum(SampledFunction):
     """A sampled function indexed by frequency bins xi_k (increasing)."""
@@ -232,10 +192,9 @@ def dft_forward(f: SampledFunction) -> Spectrum:
 def dft_inverse(spec: Spectrum, origin: float | None = None) -> SampledFunction:
     """Inverse of :func:`dft_forward`.
 
-    If `origin` is omitted, the spatial origin is taken to be
-    ``-period/2``-aligned only when it was encoded by the caller; the
-    round-trip ``dft_inverse(dft_forward(f), f.origin)`` is exact to
-    machine precision.
+    The spectrum does not record the spatial origin. If `origin` is omitted
+    it defaults to ``-n*h/2``; passing ``f.origin`` inverts
+    ``dft_forward(f)`` exactly, to machine precision.
     """
     n = spec.n
     dxi = spec.spacing

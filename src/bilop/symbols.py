@@ -31,7 +31,6 @@ __all__ = [
     "bht_sign_symbol",
     "product_symbol",
     "truncate_near_line",
-    "symbol_from_table",
 ]
 
 
@@ -331,76 +330,3 @@ def truncate_near_line(symbol: Symbol, line: SingularLine | None, L: float) -> S
         declared_class=SymbolClass.LINE_SCALED,
         name=f"{symbol.name}_trunc{L:g}",
     )
-
-
-# -- tabulated symbols -------------------------------------------------------
-
-
-def symbol_from_table(path, x_dependent: bool | None = None, **meta) -> Symbol:
-    """Load a tabulated symbol from the 3-axis binary grid format.
-
-    Layout: three little-endian (origin: f8, spacing: f8, count: u8) axis
-    headers for (x, alpha, beta), then count_x*count_a*count_b complex values
-    as float64 (re, im) pairs in C order.  Evaluation uses trilinear
-    interpolation clamped to the table.
-    """
-    import struct
-
-    with open(path, "rb") as fh:
-        axes = []
-        for _ in range(3):
-            origin, spacing, count = struct.unpack("<ddQ", fh.read(24))
-            axes.append((origin, spacing, int(count)))
-        total = axes[0][2] * axes[1][2] * axes[2][2]
-        flat = np.frombuffer(fh.read(total * 16), dtype="<f8").reshape(total, 2)
-    table = (flat[:, 0] + 1j * flat[:, 1]).reshape(axes[0][2], axes[1][2], axes[2][2])
-
-    def _axis_index(v, axis):
-        origin, spacing, count = axis
-        t = (np.asarray(v, dtype=float) - origin) / spacing
-        return np.clip(t, 0.0, count - 1.0)
-
-    def _eval(x, a, b):
-        shape = np.broadcast(x, a, b).shape
-        tx = np.broadcast_to(_axis_index(x, axes[0]), shape)
-        ta = np.broadcast_to(_axis_index(a, axes[1]), shape)
-        tb = np.broadcast_to(_axis_index(b, axes[2]), shape)
-        out = np.zeros(shape, dtype=complex)
-        ix, ia, ib = (np.floor(t).astype(int) for t in (tx, ta, tb))
-        ix = np.minimum(ix, axes[0][2] - 2) if axes[0][2] > 1 else ix * 0
-        ia = np.minimum(ia, axes[1][2] - 2) if axes[1][2] > 1 else ia * 0
-        ib = np.minimum(ib, axes[2][2] - 2) if axes[2][2] > 1 else ib * 0
-        fx, fa, fb = tx - ix, ta - ia, tb - ib
-        for dx in (0, 1):
-            wx = np.where(dx == 0, 1.0 - fx, fx) if axes[0][2] > 1 else (1.0 if dx == 0 else 0.0)
-            if np.all(wx == 0.0):
-                continue
-            for da in (0, 1):
-                wa = np.where(da == 0, 1.0 - fa, fa) if axes[1][2] > 1 else (1.0 if da == 0 else 0.0)
-                for db in (0, 1):
-                    wb = np.where(db == 0, 1.0 - fb, fb) if axes[2][2] > 1 else (1.0 if db == 0 else 0.0)
-                    xx = np.minimum(ix + dx, axes[0][2] - 1)
-                    aa = np.minimum(ia + da, axes[1][2] - 1)
-                    bb = np.minimum(ib + db, axes[2][2] - 1)
-                    out += wx * wa * wb * table[xx, aa, bb]
-        return out
-
-    if x_dependent is None:
-        x_dependent = axes[0][2] > 1
-    return Symbol(eval=_eval, x_dependent=x_dependent, name="table", **meta)
-
-
-def write_symbol_table(path, table: np.ndarray, axes):
-    """Write the 3-axis binary grid format read by :func:`symbol_from_table`."""
-    import struct
-
-    table = np.asarray(table, dtype=complex)
-    if table.ndim != 3:
-        raise ValueError("table must be 3-dimensional (x, alpha, beta)")
-    with open(path, "wb") as fh:
-        for (origin, spacing), count in zip(axes, table.shape):
-            fh.write(struct.pack("<ddQ", float(origin), float(spacing), count))
-        flat = np.empty((table.size, 2), dtype="<f8")
-        flat[:, 0] = table.real.ravel()
-        flat[:, 1] = table.imag.ravel()
-        fh.write(flat.tobytes())

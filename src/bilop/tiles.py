@@ -44,6 +44,7 @@ __all__ = [
     "packet_coefficient",
     "Tree",
     "size_tree",
+    "maximal_tree",
     "size_star",
     "size_bound_check",
     "profile_seminorm",
@@ -153,42 +154,6 @@ class Collection:
             for w in (s.freq, *s.subs):
                 seen[(w.center, w.length)] = w
         return list(seen.values())
-
-    # -- text serialization ------------------------------------------------
-
-    def to_text(self, path, header: dict | None = None):
-        lines = []
-        for k, v in (header or {}).items():
-            lines.append(f"# {k} = {v}")
-        lines.append("# columns: I_center I_len w_center w_len w1_c w1_l w2_c w2_l w3_c w3_l")
-        for s in self.tiles:
-            row = [s.time.center, s.time.length, s.freq.center, s.freq.length]
-            for sub in s.subs:
-                row += [sub.center, sub.length]
-            lines.append(" ".join(repr(float(v)) for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_text(cls, path, area_bound: float = 4.0) -> "Collection":
-        tiles = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                vals = [float(v) for v in line.split()]
-                if len(vals) != 10:
-                    raise ValueError(f"malformed tri-tile row: {line!r}")
-                tiles.append(
-                    TriTile(
-                        Interval(vals[0], vals[1]),
-                        Interval(vals[2], vals[3]),
-                        tuple(Interval(vals[4 + 2 * i], vals[5 + 2 * i]) for i in range(3)),
-                        area_bound,
-                    )
-                )
-        return cls(tuple(tiles))
 
 
 # -- validation ---------------------------------------------------------------

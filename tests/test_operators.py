@@ -327,6 +327,15 @@ class TestMaximalFreq:
         with pytest.raises(ValueError, match="strictly increasing"):
             TruncationLadder(radii)
 
+    @pytest.mark.parametrize(
+        "radii",
+        [((0.1, 0.2), (0.3, 0.4)), (0.5, np.inf), (0.5, np.nan), (-0.5, 1.0)],
+        ids=["pairs", "inf", "nan", "negative"],
+    )
+    def test_unusable_radii_rejected(self, radii):
+        with pytest.raises(ValueError, match="radii"):
+            TruncationLadder(radii)
+
 
 class TestMaximalAvg:
     def test_constant_pair_gives_two(self):

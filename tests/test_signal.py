@@ -316,23 +316,3 @@ class TestBandLimitedBump:
         g = grid(64, 64.0)
         with pytest.raises(ValueError):
             make_band_limited_bump(0.0, 4.0 / g.spacing, g)
-
-
-class TestSerialization:
-    def test_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        f = random_function(rng)
-        path = tmp_path / "f.csv"
-        f.to_csv(path)
-        g = SampledFunction.from_csv(path)
-        assert g.same_grid(f)
-        assert np.allclose(g.values, f.values, atol=1e-12)
-
-    def test_binary_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        f = random_function(rng)
-        path = tmp_path / "f.bin"
-        f.to_binary(path)
-        g = SampledFunction.from_binary(path)
-        assert g.same_grid(f)
-        assert np.array_equal(g.values, f.values)

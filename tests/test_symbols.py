@@ -13,9 +13,7 @@ from bilop.symbols import (
     modulation_pair,
     product_symbol,
     split_low_high,
-    symbol_from_table,
     truncate_near_line,
-    write_symbol_table,
 )
 
 LINE = SingularLine(1.0, -1.0)
@@ -224,18 +222,3 @@ class TestTruncateNearLine:
             samples_per_axis=97, ceiling=1e6,
         )
         assert max(rep2.constants.values()) <= 2.0 * max(rep.constants.values())
-
-
-class TestSymbolTable:
-    def test_roundtrip_at_nodes(self, tmp_path):
-        rng = np.random.default_rng(3)
-        table = rng.standard_normal((1, 8, 8)) + 1j * rng.standard_normal((1, 8, 8))
-        axes = [(0.0, 1.0), (-2.0, 0.5), (-2.0, 0.5)]
-        path = tmp_path / "sym.bin"
-        write_symbol_table(path, table, axes)
-        sym = symbol_from_table(path)
-        assert not sym.x_dependent
-        a = -2.0 + 0.5 * np.arange(8)
-        A, B = np.meshgrid(a, a, indexing="ij")
-        vals = sym(0.0, A, B)
-        assert np.allclose(vals, table[0], atol=1e-12)

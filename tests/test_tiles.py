@@ -300,15 +300,3 @@ class TestProfileSeminorm:
         p = default_profile()
         values = [profile_seminorm(p, M) for M in (0, 1, 2)]
         assert values[0] <= values[1] <= values[2]
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(44)
-        coll = random_collection(rng, 12)
-        path = tmp_path / "c.tiles"
-        coll.to_text(path, header={"overlap": 2})
-        back = Collection.from_text(path)
-        assert len(back) == len(coll)
-        for a, b in zip(coll, back):
-            assert a.key() == b.key()
