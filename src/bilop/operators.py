@@ -1,6 +1,7 @@
-"""Direct numerical evaluation of bilinear operators defined by symbols,
-kernel extraction, a principal-value quadrature for the truncated bilinear
-Hilbert transform, and maximal (supremum-over-truncations) variants.
+"""Direct numerical evaluation of bilinear operators defined by symbols, a
+check of the paper's local estimate on that evaluation, a principal-value
+quadrature for the truncated bilinear Hilbert transform, and maximal
+(supremum-over-truncations) variants.
 
 The frequency representation realized here is
 
@@ -14,6 +15,10 @@ For x-independent symbols the output depends on (a, b) only through a + b,
 so `eval_direct` sums the n x n table sigma F G along its anti-diagonals,
 folds them mod n and takes one inverse FFT: O(n^2) time, no n x n table of
 complex exponentials, and it must match the reference path.
+
+`local_estimate_check` measures off-diagonal decay through `eval_direct`:
+it cuts both inputs off at growing distances 2^k |I| from an interval I and
+reports how much the output on I changes.
 
 Note on orientation: with this library's transform pair, the quadrature
 p.v. integral f(x - l1 y) g(x - l2 y) dy/y realizes the operator whose
@@ -29,16 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bumps import smooth_cutoff
-from .signal import SampledFunction, Spectrum, dft_forward, spectral_derivative
+from .signal import Interval, SampledFunction, Spectrum, dft_forward, spectral_derivative
 from .symbols import SingularLine, Symbol
 
 __all__ = [
     "eval_direct",
     "eval_direct_reference",
-    "BilinearKernel",
     "TruncationLadder",
-    "kernel_from_symbol",
-    "kernel_decay_fit",
+    "local_estimate_check",
     "bht_truncated",
     "maximal_freq",
     "maximal_avg",
@@ -126,115 +129,51 @@ def eval_direct(symbol: Symbol, f: SampledFunction, g: SampledFunction) -> Sampl
     return _fold(symbol(0.0, A, B), F, G, f)
 
 
-# -- kernel extraction -------------------------------------------------------
+# -- local estimate -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearKernel:
-    """Sampled kernel K(x, y, z) of a bilinear operator on a symmetric box."""
+def local_estimate_check(symbol: Symbol, f: SampledFunction, g: SampledFunction, I: Interval) -> dict:
+    """How far the output on I reaches for its inputs, through `eval_direct`.
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    values: np.ndarray  # shape (len(x), len(y), len(z))
-    freq_extent: float
-    freq_count: int
-    window: str
-
-    def __post_init__(self):
-        if self.values.shape != (self.x.size, self.y.size, self.z.size):
-            raise ValueError("kernel value grid does not match axes")
-
-
-def kernel_from_symbol(
-    symbol: Symbol,
-    extent: float = 8.0,
-    points: int = 33,
-    freq_extent: float = 8.0,
-    freq_count: int = 128,
-    window: str = "smooth",
-) -> BilinearKernel:
-    """Oscillatory-sum realization of the kernel
-
-        K(x, y, z) = int e^{2 pi i [a (x - y) + b (x - z)]} sigma(x, a, b) da db
-
-    over the truncated frequency box [-freq_extent, freq_extent]^2 with a
-    smooth roll-off window (recorded in the output metadata).  The integral
-    is distributional; any numerical realization must regularize, and this
-    one does so by the declared window.
+    For R_k = 2^k |I|, k = 0, 1, ..., while the cut's support 2^(k+1) |I| is
+    shorter than half the window, both inputs are multiplied by
+    smooth_cutoff(d / R_k), d the distance to c(I) on the periodic window,
+    and err_k = max_I |T(f_k, g_k) - T(f, g)| / max_I |T(f, g)| is reported
+    with the decay per step log2(err_k / err_{k+1}).  A symbol truncated
+    near its line gives errors that fall fast in k (the paper's local
+    estimate); the untruncated sign symbol's barely fall.
     """
-    axis = np.linspace(-extent, extent, points)
-    xi = np.linspace(-freq_extent, freq_extent, freq_count)
-    dxi = xi[1] - xi[0]
-    if extent > 0.5 / dxi:
-        raise ValueError(
-            "frequency resolution too coarse for the spatial box: the discrete "
-            f"sum repeats with period {1.0 / dxi:.3g} in x-y; need extent <= "
-            f"{0.5 / dxi:.3g} or freq_count >= {int(np.ceil(4 * extent * freq_extent)) + 1}"
-        )
-    A, B = np.meshgrid(xi, xi, indexing="ij")
-    if window == "smooth":
-        w = smooth_cutoff(2.0 * A / freq_extent) * smooth_cutoff(2.0 * B / freq_extent)
-    elif window == "sharp":
-        w = np.ones_like(A)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-
-    u = axis[:, None] - axis[None, :]  # u[i, k] = x_i - y_k (same table for z)
-    phase_u = np.exp(2j * np.pi * np.multiply.outer(u, xi))  # [ix, iy, a]
-    fixed = None if symbol.x_dependent else symbol(0.0, A, B) * w
-    vals = np.empty((axis.size, axis.size, axis.size), dtype=complex)
-    for i, xv in enumerate(axis):
-        M = symbol(xv, A, B) * w if fixed is None else fixed
-        # K(x_i, y, z) = phase_u[i, y, :] @ M @ phase_u[i, z, :]^T * dxi^2
-        left = phase_u[i]  # [iy, a]
-        vals[i] = (left @ M @ left.T) * dxi * dxi
-    return BilinearKernel(
-        x=axis, y=axis, z=axis, values=vals,
-        freq_extent=freq_extent, freq_count=freq_count, window=window,
-    )
-
-
-def kernel_decay_fit(
-    kernel: BilinearKernel,
-    direction: tuple = (1.0, 1.0),
-    x_index: int | None = None,
-    floor: float = 1e-9,
-):
-    """Fitted exponent M of |K| ~ (1 + |x-y| + |x-z|)^(-M) along a (u, v) ray.
-
-    Samples K(x, x - t*du, x - t*dv) for growing t and regresses log|K|
-    against log(1 + |u| + |v|).  Samples below `floor` times the ray maximum
-    are dropped: past that point the windowed oscillatory sum measures its
-    own roll-off ringing, not the kernel.  Returns (M, residual).
-    """
-    du, dv = direction
-    nrm = max(abs(du), abs(dv))
-    du, dv = du / nrm, dv / nrm
-    if x_index is None:
-        x_index = kernel.x.size // 2
-    xv = kernel.x[x_index]
-    extent = min(kernel.y.max() - kernel.y.min(), kernel.z.max() - kernel.z.min()) / 2.2
-    ts = np.linspace(0.5, extent, 24)
-    logs, vals = [], []
-    for t in ts:
-        yq = xv - t * du
-        zq = xv - t * dv
-        iy = int(np.argmin(np.abs(kernel.y - yq)))
-        iz = int(np.argmin(np.abs(kernel.z - zq)))
-        mag = abs(kernel.values[x_index, iy, iz])
-        if mag > 0:
-            logs.append(np.log(1.0 + abs(xv - kernel.y[iy]) + abs(xv - kernel.z[iz])))
-            vals.append(np.log(mag))
-    logs = np.asarray(logs)
-    vals = np.asarray(vals)
-    keep = vals >= vals.max() + np.log(floor)
-    logs, vals = logs[keep], vals[keep]
-    if logs.size < 3:
-        raise ValueError("too few kernel samples above the noise floor to fit")
-    slope, intercept = np.polyfit(logs, vals, 1)
-    resid = float(np.sqrt(np.mean((vals - (slope * logs + intercept)) ** 2)))
-    return -float(slope), resid
+    on_I = I.mask(f)
+    if not on_I.any():
+        raise ValueError(f"I = {I} holds no grid point")
+    P = f.period
+    radii, R = [], I.length
+    while 2 * R < P / 2:
+        radii.append(R)
+        R *= 2
+    if not radii:
+        raise ValueError(f"I = {I} is too long: a cut at radius |I| needs a window over {4 * I.length}")
+    full = eval_direct(symbol, f, g).values[on_I]
+    scale = np.max(np.abs(full))
+    if scale == 0.0:
+        raise ValueError(f"T(f, g) vanishes on I = {I}")
+    d = np.abs(np.mod(f.x - I.center + P / 2, P) - P / 2)
+    errors = []
+    for R in radii:
+        cut = smooth_cutoff(d / R)
+        out = eval_direct(symbol, f.with_values(f.values * cut), g.with_values(g.values * cut))
+        errors.append(float(np.max(np.abs(out.values[on_I] - full)) / scale))
+    err = np.array(errors)
+    return {
+        "n": f.n,
+        "h": f.spacing,
+        "W": P,
+        "symbol": symbol.name,
+        "x_dependent": symbol.x_dependent,
+        "radii": radii,
+        "errors": errors,
+        "decay": np.log2(err[:-1] / err[1:]).tolist(),
+    }
 
 
 # -- truncated bilinear Hilbert transform ------------------------------------
@@ -315,6 +254,12 @@ class TruncationLadder:
 
     @classmethod
     def dyadic(cls, r_min: float, r_max: float, per_octave: int = 1) -> "TruncationLadder":
+        if not 0 < r_min < np.inf:
+            raise ValueError(f"r_min must be finite and positive, got {r_min}")
+        if not r_min < r_max < np.inf:
+            raise ValueError(f"r_max must be finite and above r_min = {r_min}, got {r_max}")
+        if not per_octave > 0:
+            raise ValueError(f"per_octave must be positive, got {per_octave}")
         count = max(int(np.ceil(np.log2(r_max / r_min) * per_octave)) + 1, 2)
         return cls(tuple(np.geomspace(r_min, r_max, count)))
 
@@ -325,14 +270,14 @@ def maximal_freq(
     g: SampledFunction,
     ladder: TruncationLadder,
     phi=smooth_cutoff,
-    line: SingularLine | None = None,
 ) -> SampledFunction:
-    """Pointwise max over the ladder of |T with symbol sigma * (1 - phi(r * form))|.
+    """Pointwise max over the ladder of |T with symbol sigma * (1 - phi(r * form))|,
+    `form` the linear form of `symbol.line`.
 
     `phi` is smooth and equal to 1 near 0, so each truncation removes the
     part of the symbol within ~1/r of the singular line.
     """
-    line = line or symbol.line
+    line = symbol.line
     if line is None:
         raise ValueError("maximal_freq needs a singular line")
     best = np.zeros(f.n)
@@ -340,7 +285,7 @@ def maximal_freq(
         def _eval(x, a, b, _r=r):
             return symbol(x, a, b) * (1.0 - phi(_r * line.form(a, b)))
 
-        trunc = replace(symbol, eval=_eval, line=line, name=f"{symbol.name}_maxtrunc")
+        trunc = replace(symbol, eval=_eval, name=f"{symbol.name}_maxtrunc")
         best = np.maximum(best, np.abs(eval_direct(trunc, f, g).values))
     return f.with_values(best.astype(complex))
 
@@ -432,37 +377,33 @@ class DerivationReport:
     lhs_scale: float
 
 
-def _x_derivative_symbol(symbol: Symbol, order: int, step: float = 1e-2) -> Symbol:
+_FD_STEP = 1e-2  # x step of the finite-difference symbol derivatives
+
+
+def _x_derivative_symbol(symbol: Symbol, order: int) -> Symbol:
     """Fourth-order central finite difference of sigma in x, orders 0..2."""
     if order == 0:
         return symbol
-    name = f"{symbol.name}_dx{order}"
-    if not symbol.x_dependent:
-        return replace(
-            symbol,
-            eval=lambda x, a, b: np.zeros(np.broadcast(x, a, b).shape, dtype=complex),
-            name=name,
-        )
     if order == 1:
         def _eval(x, a, b):
             return (
-                -symbol(x + 2 * step, a, b)
-                + 8 * symbol(x + step, a, b)
-                - 8 * symbol(x - step, a, b)
-                + symbol(x - 2 * step, a, b)
-            ) / (12 * step)
+                -symbol(x + 2 * _FD_STEP, a, b)
+                + 8 * symbol(x + _FD_STEP, a, b)
+                - 8 * symbol(x - _FD_STEP, a, b)
+                + symbol(x - 2 * _FD_STEP, a, b)
+            ) / (12 * _FD_STEP)
     elif order == 2:
         def _eval(x, a, b):
             return (
-                -symbol(x + 2 * step, a, b)
-                + 16 * symbol(x + step, a, b)
+                -symbol(x + 2 * _FD_STEP, a, b)
+                + 16 * symbol(x + _FD_STEP, a, b)
                 - 30 * symbol(x, a, b)
-                + 16 * symbol(x - step, a, b)
-                - symbol(x - 2 * step, a, b)
-            ) / (12 * step * step)
+                + 16 * symbol(x - _FD_STEP, a, b)
+                - symbol(x - 2 * _FD_STEP, a, b)
+            ) / (12 * _FD_STEP * _FD_STEP)
     else:
         raise ValueError("x-derivative implemented for orders 0..2")
-    return replace(symbol, eval=_eval, name=name)
+    return replace(symbol, eval=_eval, name=f"{symbol.name}_dx{order}")
 
 
 def derivation_identity_check(
@@ -470,15 +411,15 @@ def derivation_identity_check(
     f: SampledFunction,
     g: SampledFunction,
     order: int,
-    fd_step: float = 1e-2,
 ) -> DerivationReport:
     """Check D^n T(f, g) = sum_{i+j+k=n} n!/(i! j! k!) T_{d_x^k sigma}(D^i f, D^j g).
 
     The left side differentiates the evaluated output spectrally; the right
     side evaluates the operator on spectrally differentiated inputs with
-    finite-difference x-derivatives of the symbol.  Inputs must be band
-    limited with margin (output frequencies live at sums of input
-    frequencies), or the two sides see different aliasing.
+    finite-difference x-derivatives of the symbol.  An x-independent symbol
+    has d_x^k sigma = 0 for k > 0, so only its k = 0 terms are summed.
+    Inputs must be band limited with margin (output frequencies live at sums
+    of input frequencies), or the two sides see different aliasing.
     """
     from math import factorial
 
@@ -486,8 +427,8 @@ def derivation_identity_check(
     rhs = np.zeros(f.n, dtype=complex)
     derivs_f = [f] + [spectral_derivative(f, i) for i in range(1, order + 1)]
     derivs_g = [g] + [spectral_derivative(g, j) for j in range(1, order + 1)]
-    for k in range(order + 1):
-        sym_k = _x_derivative_symbol(symbol, k, fd_step)
+    for k in range(order + 1 if symbol.x_dependent else 1):
+        sym_k = _x_derivative_symbol(symbol, k)
         for i in range(order - k + 1):
             j = order - k - i
             coeff = factorial(order) // (factorial(i) * factorial(j) * factorial(k))

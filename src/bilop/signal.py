@@ -42,7 +42,6 @@ __all__ = [
     "make_bump",
     "make_band_limited_bump",
     "bump_bandwidth",
-    "bump_values",
     "EmptyRegionWarning",
 ]
 
@@ -288,13 +287,9 @@ def spectral_derivative(f: SampledFunction, order: int = 1) -> SampledFunction:
     return dft_inverse(Spectrum(spec.origin, spec.spacing, spec.values * mult), f.origin)
 
 
-def bump_values(x, center: float, width: float) -> np.ndarray:
-    """Unnormalized smooth bump supported on (center - width/2, center + width/2)."""
-    return smooth_bump((np.asarray(x, dtype=float) - center) / (0.5 * width)).astype(complex)
-
-
 def make_bump(center: float, width: float, grid: SampledFunction) -> SampledFunction:
-    """Smooth compactly supported bump on the grid, normalized to unit L2 norm.
+    """Smooth bump supported on (center - width/2, center + width/2), sampled
+    on the grid and normalized to unit L2 norm.
 
     Requires width >= 4h so the profile is resolved.
     """
@@ -302,7 +297,7 @@ def make_bump(center: float, width: float, grid: SampledFunction) -> SampledFunc
         raise ValueError(
             f"bump width {width} under-resolved: need at least 4*spacing = {4 * grid.spacing}"
         )
-    vals = bump_values(grid.x, center, width)
+    vals = smooth_bump((grid.x - center) / (0.5 * width)).astype(complex)
     out = grid.with_values(vals)
     nrm = lp_norm(out, 2)
     if nrm == 0.0:

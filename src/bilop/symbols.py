@@ -181,7 +181,6 @@ def class_verify(
     step: float,
     samples_per_axis: int = 33,
     ceiling: float = 1e4,
-    x_samples: np.ndarray | None = None,
 ) -> ClassReport:
     """Estimate mixed-derivative class constants by central finite differences.
 
@@ -203,8 +202,7 @@ def class_verify(
     B = B.ravel()
     if A.size == 0:
         raise ValueError("sample box contains no points clear of the singular line")
-    if x_samples is None:
-        x_samples = np.array([0.0]) if not symbol.x_dependent else np.linspace(-1.0, 1.0, 5)
+    x_samples = np.linspace(-1.0, 1.0, 5) if symbol.x_dependent else np.array([0.0])
 
     x_orders = range(max_order + 1) if symbol.x_dependent else [0]
     constants: dict = {}
@@ -257,7 +255,7 @@ def class_verify(
 # -- cutoffs, splits, modulations ------------------------------------------
 
 
-def split_low_high(symbol: Symbol, line: SingularLine | None = None, cutoff=smooth_cutoff):
+def split_low_high(symbol: Symbol, line: SingularLine | None = None):
     """Split sigma into (sigma0, sigma_inf) along the singular line.
 
     sigma0 carries the part near the line (cutoff equal to 1 on
@@ -269,10 +267,10 @@ def split_low_high(symbol: Symbol, line: SingularLine | None = None, cutoff=smoo
         raise ValueError("need a singular line to split along")
 
     def _low(x, a, b):
-        return symbol(x, a, b) * cutoff(line.form(a, b))
+        return symbol(x, a, b) * smooth_cutoff(line.form(a, b))
 
     def _high(x, a, b):
-        return symbol(x, a, b) * (1.0 - cutoff(line.form(a, b)))
+        return symbol(x, a, b) * (1.0 - smooth_cutoff(line.form(a, b)))
 
     low = replace(symbol, eval=_low, line=line, name=symbol.name + "_low")
     high = replace(symbol, eval=_high, line=line, name=symbol.name + "_high")

@@ -453,14 +453,13 @@ def size_star(
     profile: WavePacketProfile | None = None,
     max_tiles: int = 64,
     sample_tops: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """sup over k-trees (k != j) contained in the collection of size_k.
 
     Exhaustive over candidate tops (size is monotone under adding members, so
     maximal trees per top realize the sup).  Collections larger than
     `max_tiles` must opt into the sampled mode (`sample_tops`), which draws
-    random tops and is explicitly non-exhaustive.
+    that many tops with the fixed seed 0 and is explicitly non-exhaustive.
     """
     if len(collection) > max_tiles and sample_tops is None:
         raise ValueError(
@@ -469,8 +468,8 @@ def size_star(
         )
     tops = list(collection)
     if sample_tops is not None and len(tops) > sample_tops:
-        rng = rng or np.random.default_rng(0)
-        tops = [tops[i] for i in rng.choice(len(tops), size=sample_tops, replace=False)]
+        picks = np.random.default_rng(0).choice(len(tops), size=sample_tops, replace=False)
+        tops = [tops[i] for i in picks]
     best = 0.0
     for top in tops:
         for k in (0, 1, 2):
@@ -542,7 +541,6 @@ def random_collection(
     n_tiles: int,
     scales=(-1, 0, 1),
     window: float = 16.0,
-    max_time_length: float | None = None,
 ) -> Collection:
     """Random 4-adic collection: unique tri-tiles on scale-separated lattices.
 
@@ -559,8 +557,6 @@ def random_collection(
         attempts += 1
         k = int(rng.choice(list(scales)))
         L = 4.0**k
-        if max_time_length is not None and L > max_time_length:
-            continue
         q = 1.0 / L
         slots = max(int(window / L), 1)
         m = int(rng.integers(0, slots))

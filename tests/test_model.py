@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bilop.model import ModelSum, ModelTerm, model_sum_decompose, model_sum_eval
+from bilop.model import ModelSum, ModelTerm, model_sum_decompose, model_sum_eval, trilinear_form
 from bilop.signal import Interval, SampledFunction
 from bilop.tiles import (
     Collection,
@@ -97,6 +97,26 @@ class TestModelSumEval:
             model.conjugate(), f.with_values(np.conjugate(f.values)), g.with_values(np.conjugate(g.values))
         ).values
         assert rel_err(conj, np.conjugate(out)) < 1e-12
+
+
+class TestTrilinearForm:
+    def test_whole_window_matches_definition(self):
+        # sum over terms of coeff |I_s|^{-1/2} <phi1, f1> <phi2, f2> conj(<phi3, f3>)
+        rng = np.random.default_rng(5)
+        model = lattice_model(rng)
+        f1, f2, f3 = (noise(ALIGNED, rng) for _ in range(3))
+        p = default_profile()
+        expected = 0.0
+        for term in model.terms:
+            s = model.collection.tiles[term.tile_index]
+            c1, c2, c3 = (
+                packet_coefficient(wave_packet(Tile(s.time, w), p, fn), fn)
+                for w, fn in zip(s.subs, (f1, f2, f3))
+            )
+            expected += term.coeff / np.sqrt(s.time.length) * c1 * c2 * np.conjugate(c3)
+        whole = Interval(0.0, 2 * ALIGNED.period)
+        form = trilinear_form(model, f1, f2, f3, whole)
+        assert abs(form - expected) <= 1e-12 * abs(expected)
 
 
 class TestDecomposition:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,16 @@ from bilop.operators import (
     derivation_identity_check,
     eval_direct,
     eval_direct_reference,
-    kernel_decay_fit,
-    kernel_from_symbol,
+    local_estimate_check,
     maximal_avg,
     maximal_freq,
     maximal_kernel,
 )
 from bilop.signal import (
+    Interval,
     SampledFunction,
+    Spectrum,
+    dft_inverse,
     hardy_littlewood_max,
     lp_norm,
     make_band_limited_bump,
@@ -123,48 +127,62 @@ class TestEvalDirect:
         assert np.max(np.abs(out.values - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
-class TestKernel:
-    def test_product_kernel_concentrates_on_diagonal(self):
-        k_small = kernel_from_symbol(product_symbol(), extent=4.0, points=17, freq_extent=4.0, freq_count=80)
-        k_big = kernel_from_symbol(product_symbol(), extent=4.0, points=17, freq_extent=16.0, freq_count=320)
-        mid = 8
-        off = 12
-        ratio_small = abs(k_small.values[mid, mid, mid]) / abs(k_small.values[mid, off, off])
-        ratio_big = abs(k_big.values[mid, mid, mid]) / abs(k_big.values[mid, off, off])
-        assert ratio_big > ratio_small > 1.0
+def band_limited_pair(n):
+    """Two random inputs on the h = 1/8 grid centred at 0, with spectra on |xi| <= 1.5."""
+    rng = np.random.default_rng(0)
+    g = grid(n, n / 8)
+    dxi = 1.0 / g.period
+    xi = (np.arange(n) - n // 2) * dxi
+    pair = []
+    for _ in range(2):
+        spec = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (np.abs(xi) <= 1.5)
+        pair.append(dft_inverse(Spectrum(xi[0], dxi, spec), g.origin))
+    return pair
 
-    def test_smooth_symbol_decay_exponent(self):
-        sym = Symbol(
+
+class TestLocalEstimate:
+    I = Interval(0.0, 2.0)
+
+    def test_product_is_local_to_roundoff(self):
+        f, g = band_limited_pair(512)
+        rep = local_estimate_check(product_symbol(), f, g, self.I)
+        assert rep["radii"] == [2.0, 4.0, 8.0]
+        assert max(rep["errors"]) <= 1e-12
+        assert (rep["n"], rep["h"], rep["W"], rep["x_dependent"]) == (512, 0.125, 64.0, False)
+        json.dumps(rep)
+
+    def test_smooth_symbol_is_local(self):
+        f, g = band_limited_pair(512)
+        gauss = Symbol(
             eval=lambda x, a, b: np.exp(-(np.asarray(a) ** 2 + np.asarray(b) ** 2))
             * np.ones(np.broadcast(x, a, b).shape),
             x_dependent=False,
             declared_class=SymbolClass.HORMANDER,
         )
-        kern = kernel_from_symbol(sym, extent=6.0, points=49, freq_extent=6.0, freq_count=160)
-        M, _ = kernel_decay_fit(kern, direction=(1.0, 1.0))
-        assert M >= 3.0
+        assert max(local_estimate_check(gauss, f, g, self.I)["errors"]) <= 1e-9
 
-    def test_bht_kernel_no_decay_along_singular_direction(self):
-        # the raw sign symbol keeps its jump, so the kernel rides the
-        # (x-y) + (x-z) = 0 ridge with essentially no decay, in contrast
-        # to the >= 3 exponent of the smooth symbol above
-        sym = bht_sign_symbol(LINE)
-        kern = kernel_from_symbol(sym, extent=6.0, points=49, freq_extent=6.0, freq_count=160)
-        m_singular, _ = kernel_decay_fit(kern, direction=(1.0, -1.0))
-        assert m_singular < 2.0
-        smooth = Symbol(
-            eval=lambda x, a, b: np.exp(-(np.asarray(a) ** 2 + np.asarray(b) ** 2))
-            * np.ones(np.broadcast(x, a, b).shape),
-            x_dependent=False,
-            declared_class=SymbolClass.HORMANDER,
-        )
-        kern_smooth = kernel_from_symbol(smooth, extent=6.0, points=49, freq_extent=6.0, freq_count=160)
-        m_smooth, _ = kernel_decay_fit(kern_smooth, direction=(1.0, -1.0))
-        assert m_singular < 0.5 * m_smooth
+    def test_truncation_makes_the_output_local(self):
+        # the paper's local estimate: with the symbol truncated at L = |I|
+        # the output on I forgets inputs at distance 8|I|; the untruncated
+        # sign symbol's output still depends on them
+        line = SingularLine(1.0, -2.0)
+        f, g = band_limited_pair(1024)
+        trunc = local_estimate_check(truncate_near_line(bht_sign_symbol(line), line, 2.0), f, g, self.I)
+        sign = local_estimate_check(bht_sign_symbol(line), f, g, self.I)
+        assert trunc["radii"] == sign["radii"] == [2.0, 4.0, 8.0, 16.0]
+        assert trunc["errors"][-1] < 1e-3
+        assert sign["errors"][-1] > 1e-2
+        assert len(trunc["decay"]) == 3
 
-    def test_aliased_box_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_from_symbol(product_symbol(), extent=10.0, points=9, freq_extent=6.0, freq_count=32)
+    @pytest.mark.parametrize(
+        "I, g_scale",
+        [(Interval(1 / 16, 1 / 16), 1.0), (Interval(0.0, 16.0), 1.0), (Interval(0.0, 2.0), 0.0)],
+        ids=["no_grid_point", "too_long", "vanishing_output"],
+    )
+    def test_unusable_interval_rejected(self, I, g_scale):
+        f, g = band_limited_pair(512)
+        with pytest.raises(ValueError, match="I = "):
+            local_estimate_check(product_symbol(), f, g.with_values(g.values * g_scale), I)
 
 
 class TestBhtTruncated:
@@ -335,6 +353,26 @@ class TestMaximalFreq:
     def test_unusable_radii_rejected(self, radii):
         with pytest.raises(ValueError, match="radii"):
             TruncationLadder(radii)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((0.0, 4.0), "r_min"),
+            ((-1.0, 4.0), "r_min"),
+            ((np.nan, 4.0), "r_min"),
+            ((0.25, np.inf), "r_max"),
+            ((0.25, 0.25), "r_max"),
+            ((0.25, 4.0, 0), "per_octave"),
+            ((0.25, 4.0, -1), "per_octave"),
+        ],
+        ids=[
+            "r_min_zero", "r_min_negative", "r_min_nan", "r_max_infinite", "r_max_equal",
+            "per_octave_zero", "per_octave_negative",
+        ],
+    )
+    def test_unusable_dyadic_ladder_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            TruncationLadder.dyadic(*args)
 
 
 class TestMaximalAvg:
