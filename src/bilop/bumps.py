@@ -27,10 +27,13 @@ def cinf_germ(t):
 
 
 def smooth_step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, monotone in between."""
-    a = cinf_germ(t)
-    b = cinf_germ(1.0 - np.asarray(t, dtype=float))
-    return a / (a + b + np.finfo(float).tiny)
+    """C-infinity step: 0 for t <= 0 or NaN, 1 for t >= 1, germs on 0 < t < 1 only."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    band = (t > 0.0) & (t < 1.0)
+    a, b = cinf_germ(t[band]), cinf_germ(1.0 - t[band])
+    out[band] = a / (a + b + np.finfo(float).tiny)
+    return out[()]
 
 
 def smooth_cutoff(t):

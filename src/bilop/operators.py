@@ -12,9 +12,10 @@ with F, G the continuum-calibrated spectra of `signal.dft_forward`.  With
 sigma identically 1 this reproduces the pointwise product exactly.  An
 O(n^3) reference path is always available and is the oracle of record.
 For x-independent symbols the output depends on (a, b) only through a + b,
-so `eval_direct` sums the n x n table sigma F G along its anti-diagonals,
-folds them mod n and takes one inverse FFT: O(n^2) time, no n x n table of
-complex exponentials, and it must match the reference path.
+so `eval_direct` sums sigma F G along anti-diagonals in blocks of lattice
+rows, sigma read from the symbol's 1-D profile of its line's form where it
+can be, folds them mod n and takes one inverse FFT: O(n^2) time, O(n * rows)
+memory, and it must match the reference path.
 
 `local_estimate_check` measures off-diagonal decay through `eval_direct`:
 it cuts both inputs off at growing distances 2^k |I| from an interval I and
@@ -35,7 +36,7 @@ import numpy as np
 
 from .bumps import smooth_cutoff
 from .signal import Interval, SampledFunction, Spectrum, dft_forward, spectral_derivative
-from .symbols import SingularLine, Symbol
+from .symbols import SingularLine, Symbol, _times_form
 
 __all__ = [
     "eval_direct",
@@ -87,28 +88,68 @@ def eval_direct_reference(symbol: Symbol, f: SampledFunction, g: SampledFunction
     return f.with_values(out * dxi * dxi)
 
 
-def _fold(M: np.ndarray, F: Spectrum, G: Spectrum, f: SampledFunction) -> SampledFunction:
+_FOLD_ROWS = 64  # lattice rows per block of the anti-diagonal fold
+_PROFILE_SPAN = 64  # largest |p| + |q| of a line ratio p : q read through a profile
+
+
+def _line_ratio(line: SingularLine):
+    """(p, q, den) with p / den == l1, q / den == l2 and |p| + |q| <= _PROFILE_SPAN, or None."""
+    for den in range(1, _PROFILE_SPAN + 1):
+        p, q = round(line.l1 * den), round(line.l2 * den)
+        if abs(p) + abs(q) <= _PROFILE_SPAN and p / den == line.l1 and q / den == line.l2:
+            return p, q, den
+    return None
+
+
+def _profile_view(symbol: Symbol, F: Spectrum):
+    """sigma on the n x n lattice as a read-only view of its profile, or None.
+
+    With xi_a = (m0 + a) dxi and l1 : l2 = p : q over den, the form is
+    t = dxi ((p + q) m0 + k) / den with k = p a + q b: sigma[a, b] is entry k
+    of a profile, read with strides (p, q).  The integer k puts on-line
+    lattice points at t = 0 exactly."""
+    ratio = None if symbol.profile is None else _line_ratio(symbol.line)
+    if ratio is None:
+        return None
+    p, q, den = ratio
+    n = F.n
+    lo = (n - 1) * (min(p, 0) + min(q, 0))  # the smallest k
+    k = np.arange(lo, lo + (abs(p) + abs(q)) * (n - 1) + 1)
+    m0 = round(F.origin / F.spacing)
+    prof = np.asarray(symbol.profile(F.spacing * ((p + q) * m0 + k) / den), dtype=complex)
+    step = prof.itemsize
+    return np.lib.stride_tricks.as_strided(prof[-lo:], (n, n), (p * step, q * step), writeable=False)
+
+
+def _fold(sigma_rows, F: Spectrum, G: Spectrum, f: SampledFunction) -> SampledFunction:
     """The x-independent double sum of `eval_direct`, by anti-diagonals.
 
     The phase e^{2 pi i x_j (xi_a + xi_b)} depends on (a, b) only through
     c = a + b: with xi_a = xi0 + a dxi and x_j = origin + j h it is
     e^{4 pi i xi0 origin} p_a p_b e^{2 pi i j c / n}, where
     p_a = e^{2 pi i origin dxi a} (2 xi0 h j = -j is an integer).  Summing
-    P = M * (F p)(G p)^T along its anti-diagonals, folding c mod n and one
-    inverse FFT give the output in O(n^2) time with no n x n exponential
-    table.  Both phases are reduced mod 1 before exponentiating: the
+    P = sigma * (F p)(G p)^T along its anti-diagonals, `sigma_rows(a0, a1)`
+    giving rows a0 <= a < a1 of sigma _FOLD_ROWS at a time, folding c mod n
+    and one inverse FFT give the output in O(n^2) time and O(n * _FOLD_ROWS)
+    memory.  Both phases are reduced mod 1 before exponentiating: the
     constant's argument reaches n/2 turns, whose rounding alone would cost
     about 1e-13 relative.
     """
     n = f.n
     dxi = F.spacing
     p = np.exp(2j * np.pi * np.mod(f.origin * dxi * np.arange(n), 1.0))
-    # row a of a zero-padded (n, 2n) copy, read with row stride 2n - 1,
-    # holds P[a, c - a] at column c: the column sums are the anti-diagonals
-    padded = np.zeros((n, 2 * n), dtype=complex)
-    np.multiply(M, (F.values * p)[:, None], out=padded[:, :n])
-    padded[:, :n] *= G.values * p
-    H = padded.reshape(-1)[: n * (2 * n - 1)].reshape(n, 2 * n - 1).sum(axis=0)
+    Fp, Gp = F.values * p, G.values * p
+    H = np.zeros(2 * n - 1, dtype=complex)
+    # row i of a zero-padded (rows, 2n) block, read with row stride 2n - 1,
+    # holds P[a0 + i, c - i] at column c: the column sums are anti-diagonals
+    padded = np.zeros((_FOLD_ROWS, 2 * n), dtype=complex)
+    for a0 in range(0, n, _FOLD_ROWS):
+        block = padded[: min(_FOLD_ROWS, n - a0)]
+        rows = len(block)
+        np.multiply(sigma_rows(a0, a0 + rows), Fp[a0 : a0 + rows, None], out=block[:, :n])
+        block[:, :n] *= Gp
+        diagonals = block.reshape(-1)[: rows * (2 * n - 1)].reshape(rows, 2 * n - 1)
+        H[a0 : a0 + rows + n - 1] += diagonals[:, : rows + n - 1].sum(axis=0)
     H[: n - 1] += H[n:]
     scale = np.exp(2j * np.pi * np.mod(2 * F.origin * f.origin, 1.0)) * dxi * dxi * n
     return f.with_values(np.fft.ifft(H[:n]) * scale)
@@ -117,16 +158,20 @@ def _fold(M: np.ndarray, F: Spectrum, G: Spectrum, f: SampledFunction) -> Sample
 def eval_direct(symbol: Symbol, f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """Evaluate the bilinear operator of `symbol` on (f, g).
 
-    x-independent symbols take the anti-diagonal fold: O(n^2) time, one
-    symbol evaluation on the frequency lattice, one inverse FFT and no
-    n x n exponential table; it matches the reference path to 1e-10
-    relative.  x-dependent symbols take the O(n^3) reference path.
+    x-independent symbols take the anti-diagonal fold in blocks of 64
+    lattice rows: O(n^2) time, O(n * 64) memory, matching the reference path
+    to 1e-10 relative.  sigma is a read-only strided view of `symbol.profile`
+    if set and l1 : l2 is exactly p : q with |p| + |q| <= 64, else the symbol
+    evaluated on each block's (rows, n) lattice points.  x-dependent symbols
+    take the O(n^3) reference path.
     """
     if symbol.x_dependent:
         return eval_direct_reference(symbol, f, g)
     F, G = _spectra(f, g)
-    A, B = np.meshgrid(F.x, F.x, indexing="ij")
-    return _fold(symbol(0.0, A, B), F, G, f)
+    view, xi = _profile_view(symbol, F), F.x
+    if view is not None:
+        return _fold(lambda a0, a1: view[a0:a1], F, G, f)
+    return _fold(lambda a0, a1: symbol(0.0, *np.meshgrid(xi[a0:a1], xi, indexing="ij")), F, G, f)
 
 
 # -- local estimate -----------------------------------------------------------
@@ -282,10 +327,7 @@ def maximal_freq(
         raise ValueError("maximal_freq needs a singular line")
     best = np.zeros(f.n)
     for r in ladder.radii:
-        def _eval(x, a, b, _r=r):
-            return symbol(x, a, b) * (1.0 - phi(_r * line.form(a, b)))
-
-        trunc = replace(symbol, eval=_eval, name=f"{symbol.name}_maxtrunc")
+        trunc = _times_form(symbol, line, lambda t, r=r: 1.0 - phi(r * t), name=symbol.name + "_maxtrunc")
         best = np.maximum(best, np.abs(eval_direct(trunc, f, g).values))
     return f.with_values(best.astype(complex))
 

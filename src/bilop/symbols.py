@@ -80,6 +80,11 @@ class Symbol:
     `eval` must be a pure function accepting numpy arrays (broadcastable) and
     returning complex values; symbols are immutable and safe to share.
     `scale` is the inner frequency scale of the LINE_SCALED class weight.
+
+    `profile`, if set, is an x-independent sigma as a function of
+    t = line.form(alpha, beta), read by `eval_direct`.  `bht_sign_symbol`
+    sets it; the split, truncation, modulation and `maximal_freq`
+    compositions build it from their input's.  Replacing `eval` must reset it.
     """
 
     eval: callable = field(repr=False)
@@ -88,6 +93,7 @@ class Symbol:
     x_dependent: bool = True
     declared_class: SymbolClass = SymbolClass.LINE
     name: str = "symbol"
+    profile: callable = field(default=None, repr=False)
 
     def __call__(self, x, alpha, beta):
         out = np.asarray(self.eval(x, alpha, beta), dtype=complex)
@@ -121,17 +127,20 @@ def product_symbol() -> Symbol:
 def bht_sign_symbol(line: SingularLine) -> Symbol:
     """The x-independent sign symbol i*pi*sign(l1*alpha + l2*beta).
 
-    Takes the value 0 exactly on the line (symmetric convention for the
-    measure-zero set).
+    Its value on the line is 0.  That is exact on `eval_direct`'s lattice,
+    whose profile view forms t from integers, but not for the float form at
+    arbitrary points, which can round an on-line point to a tiny nonzero t.
     """
 
+    def _profile(t):
+        return 1j * np.pi * np.sign(t)
+
     def _eval(x, alpha, beta):
-        shape = np.broadcast(x, alpha, beta).shape
-        s = np.sign(np.broadcast_to(line.form(alpha, beta), shape))
-        return 1j * np.pi * s
+        return _profile(np.broadcast_to(line.form(alpha, beta), np.broadcast(x, alpha, beta).shape))
 
     return Symbol(
         eval=_eval,
+        profile=_profile,
         line=line,
         x_dependent=False,
         declared_class=SymbolClass.LINE,
@@ -255,6 +264,20 @@ def class_verify(
 # -- cutoffs, splits, modulations ------------------------------------------
 
 
+def _times_form(symbol: Symbol, line: SingularLine, factor, **changes) -> Symbol:
+    """sigma * factor(line.form(alpha, beta)), `eval` and `profile` from one
+    `factor`; it has a profile exactly when `symbol` has one along `line`."""
+
+    def _eval(x, a, b):
+        return symbol(x, a, b) * factor(line.form(a, b))
+
+    def _profile(t):
+        return symbol.profile(t) * factor(t)
+
+    along = symbol.profile is not None and line == symbol.line
+    return replace(symbol, eval=_eval, profile=_profile if along else None, line=line, **changes)
+
+
 def split_low_high(symbol: Symbol, line: SingularLine | None = None):
     """Split sigma into (sigma0, sigma_inf) along the singular line.
 
@@ -266,14 +289,8 @@ def split_low_high(symbol: Symbol, line: SingularLine | None = None):
     if line is None:
         raise ValueError("need a singular line to split along")
 
-    def _low(x, a, b):
-        return symbol(x, a, b) * smooth_cutoff(line.form(a, b))
-
-    def _high(x, a, b):
-        return symbol(x, a, b) * (1.0 - smooth_cutoff(line.form(a, b)))
-
-    low = replace(symbol, eval=_low, line=line, name=symbol.name + "_low")
-    high = replace(symbol, eval=_high, line=line, name=symbol.name + "_high")
+    low = _times_form(symbol, line, smooth_cutoff, name=symbol.name + "_low")
+    high = _times_form(symbol, line, lambda t: 1.0 - smooth_cutoff(t), name=symbol.name + "_high")
     return low, high
 
 
@@ -287,7 +304,11 @@ def modulate_symbol(symbol: Symbol, shift: float) -> Symbol:
     def _eval(x, a, b):
         return symbol(x, np.asarray(a) + shift, np.asarray(b) - shift)
 
-    return replace(symbol, eval=_eval, name=f"{symbol.name}_mod{shift:+g}")
+    def _profile(t):  # the shear adds (l1 - l2) shift to the form
+        return symbol.profile(np.asarray(t) + (symbol.line.l1 - symbol.line.l2) * shift)
+
+    profile = None if symbol.profile is None else _profile
+    return replace(symbol, eval=_eval, profile=profile, name=f"{symbol.name}_mod{shift:+g}")
 
 
 def modulation_pair(f: SampledFunction, g: SampledFunction, shift: float):
@@ -315,16 +336,8 @@ def truncate_near_line(symbol: Symbol, line: SingularLine | None, L: float) -> S
     if line is None:
         raise ValueError("need a singular line to truncate along")
 
-    def _eval(x, a, b):
-        d = dist_to_line(a, b, line)
-        ramp = smooth_step(2.0 * L * d - 1.0)
-        return symbol(x, a, b) * ramp
+    def _ramp(t):
+        return smooth_step(2.0 * L * (np.abs(t) / line.norm) - 1.0)
 
-    return replace(
-        symbol,
-        eval=_eval,
-        line=line,
-        scale=1.0 / L,
-        declared_class=SymbolClass.LINE_SCALED,
-        name=f"{symbol.name}_trunc{L:g}",
-    )
+    return _times_form(symbol, line, _ramp, scale=1.0 / L, declared_class=SymbolClass.LINE_SCALED,
+                       name=f"{symbol.name}_trunc{L:g}")

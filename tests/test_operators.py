@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bilop import operators
+from bilop.bumps import smooth_cutoff
 from bilop.operators import (
     TruncationLadder,
     bht_truncated,
@@ -29,7 +32,9 @@ from bilop.symbols import (
     Symbol,
     SymbolClass,
     bht_sign_symbol,
+    modulate_symbol,
     product_symbol,
+    split_low_high,
     truncate_near_line,
 )
 
@@ -61,6 +66,22 @@ def table_symbol(rng, f: SampledFunction):
         return np.broadcast_to(out, np.broadcast(x, a, b).shape)
 
     return Symbol(eval=_eval, x_dependent=False, name="table")
+
+
+def line_symbols(line):
+    """The sign symbol and its split, truncated and modulated compositions."""
+    sign = bht_sign_symbol(line)
+    low, high = split_low_high(sign)
+    trunc = truncate_near_line(sign, line, 2.0)
+    return {"sign": sign, "low": low, "high": high, "trunc": trunc, "mod": modulate_symbol(trunc, 0.37)}
+
+
+def spectrum_of(f):
+    return operators._spectra(f, f)[0]
+
+
+def close(out, ref, tol=1e-10):
+    return np.max(np.abs(out - ref)) <= tol * np.max(np.abs(ref))
 
 
 class TestEvalDirect:
@@ -125,6 +146,104 @@ class TestEvalDirect:
         out = eval_direct(sym, f, g)
         expected = np.exp(2j * np.pi * mu * g0.x) * f.values * g.values
         assert np.max(np.abs(out.values - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("l1,l2", [(1.0, -2.0), (1.0, 2.0), (0.7, 2.3)])
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_profile_view_matches_reference(self, l1, l2, shift):
+        line = SingularLine(l1, l2)
+        rng = np.random.default_rng(25)
+        f, g = random_pair(rng, n=128)
+        f = SampledFunction(f.origin + shift, f.spacing, f.values)
+        g = SampledFunction(g.origin + shift, g.spacing, g.values)
+        for sym in line_symbols(line).values():
+            assert operators._profile_view(sym, spectrum_of(f)) is not None
+            assert close(eval_direct(sym, f, g).values, eval_direct_reference(sym, f, g).values)
+        # maximal_freq's truncation, against the reference of its explicit symbol
+        trunc = line_symbols(line)["trunc"]
+        r = 0.7
+        explicit = Symbol(
+            eval=lambda x, a, b: trunc(x, a, b) * (1.0 - smooth_cutoff(r * line.form(a, b))),
+            line=line, x_dependent=False,
+        )
+        ref = np.abs(eval_direct_reference(explicit, f, g).values)
+        assert close(maximal_freq(trunc, f, g, TruncationLadder((r,))).values.real, ref)
+
+    def test_profile_view_bitwise_equals_evaluated_table(self):
+        line = SingularLine(1.0, -2.0)
+        n = 2048
+        F = spectrum_of(grid(n, n / 8))
+        for sym in (line_symbols(line)["trunc"], line_symbols(line)["high"]):
+            view = operators._profile_view(sym, F)
+            for a0 in range(0, n, 256):
+                A, B = np.meshgrid(F.x[a0 : a0 + 256], F.x, indexing="ij")
+                assert np.array_equal(view[a0 : a0 + 256], sym(0.0, A, B))
+
+    def test_profile_view_zeros_on_line_are_exact(self):
+        # on the lattice xi_a = (a - 1024) / 256 the line 0.7 a + 2.3 b = 0
+        # holds exactly where 7 a + 23 b = 30 * 1024
+        n = 2048
+        F = spectrum_of(grid(n, n / 8))
+        view = operators._profile_view(bht_sign_symbol(SingularLine(0.7, 2.3)), F)
+        a = np.arange(n)
+        rest = 30 * 1024 - 7 * a
+        on_line = np.sum((rest % 23 == 0) & (rest >= 0) & (rest // 23 < n))
+        assert on_line == 89
+        assert np.sum(view == 0) == on_line
+
+    def test_fallback_matches_reference(self):
+        rng = np.random.default_rng(26)
+        f, g = random_pair(rng, n=128)
+        F = spectrum_of(f)
+        near = SingularLine(1.0, 0.99)  # |p| + |q| = 199 over den = 100
+        other = SingularLine(1.0, 2.0)
+        cases = [
+            truncate_near_line(bht_sign_symbol(near), near, 2.0),
+            split_low_high(bht_sign_symbol(LINE), other)[1],
+            truncate_near_line(bht_sign_symbol(LINE), other, 2.0),
+        ]
+        for sym in cases:
+            assert operators._profile_view(sym, F) is None
+            assert close(eval_direct(sym, f, g).values, eval_direct_reference(sym, f, g).values)
+
+    def test_compositions_carry_profile_exactly_when_input_does(self):
+        line = SingularLine(0.7, 2.3)
+        A, B = np.meshgrid(np.linspace(-3, 3, 41), np.linspace(-2, 2, 37), indexing="ij")
+        for name, sym in line_symbols(line).items():
+            assert sym.profile is not None, name
+            # the shear's form rounds differently from the modulated eval's
+            tol = 1e-12 if name == "mod" else 0.0
+            assert np.max(np.abs(sym.profile(line.form(A, B)) - sym(0.0, A, B))) <= tol, name
+        bare = Symbol(eval=bht_sign_symbol(line).eval, line=line, x_dependent=False)
+        for sym in (*split_low_high(bare), truncate_near_line(bare, line, 2.0), modulate_symbol(bare, 0.3)):
+            assert sym.profile is None
+        assert split_low_high(bht_sign_symbol(line), LINE)[0].profile is None
+
+    @pytest.mark.parametrize("l2", [-2.0, 0.99])
+    def test_memory_is_linear_in_n(self, l2):
+        # the view (1, -2) and the evaluated fallback (1, 0.99) both stay far
+        # below the 1 GB of an n x n table with a padded copy at n = 4096
+        line = SingularLine(1.0, l2)
+        sym = truncate_near_line(bht_sign_symbol(line), line, 2.0)
+        n = 4096
+        rng = np.random.default_rng(27)
+        f, g = random_pair(rng, n=n, period=n / 8)
+        tracemalloc.start()
+        try:
+            eval_direct(sym, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_row_blocks_that_do_not_divide_n(self, n, monkeypatch):
+        monkeypatch.setattr(operators, "_FOLD_ROWS", 48)
+        rng = np.random.default_rng(28)
+        f, g = random_pair(rng, n=n)
+        f = SampledFunction(f.origin + 0.3, f.spacing, f.values)
+        g = SampledFunction(g.origin + 0.3, g.spacing, g.values)
+        for sym in (line_symbols(SingularLine(1.0, -2.0))["trunc"], table_symbol(rng, f)):
+            assert close(eval_direct(sym, f, g).values, eval_direct_reference(sym, f, g).values)
 
 
 def band_limited_pair(n):
