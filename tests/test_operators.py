@@ -84,6 +84,42 @@ def close(out, ref, tol=1e-10):
     return np.max(np.abs(out - ref)) <= tol * np.max(np.abs(ref))
 
 
+def si(x):
+    """Sine integral Si(x) = int_0^x sin(t)/t dt, numpy only: the power
+    series for |x| <= 4, above it the continued fraction for E1(i|x|) by the
+    modified Lentz method."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.empty_like(ax)
+    small = ax <= 4.0
+    t = ax[small]
+    term = t.copy()
+    total = t.copy()
+    t2 = t * t
+    for k in range(1, 40):
+        term = -term * t2 / ((2 * k) * (2 * k + 1))
+        total += term / (2 * k + 1)
+    out[small] = total
+    t = ax[~small]
+    if t.size:
+        b = 1.0 + 1j * t
+        c = np.full(t.shape, 1e300, dtype=complex)
+        d = 1.0 / b
+        h = d.copy()
+        for i in range(2, 1000):
+            a = -float((i - 1) ** 2)
+            b = b + 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            step = c * d
+            h = h * step
+            if np.max(np.abs(step - 1.0)) < 1e-16:
+                break
+        h = h * (np.cos(t) - 1j * np.sin(t))
+        out[~small] = 0.5 * np.pi + h.imag
+    return np.sign(x) * out
+
+
 class TestEvalDirect:
     @pytest.mark.parametrize("n", [64, 128])
     def test_product_identity(self, n):
@@ -245,6 +281,45 @@ class TestEvalDirect:
         for sym in (line_symbols(SingularLine(1.0, -2.0))["trunc"], table_symbol(rng, f)):
             assert close(eval_direct(sym, f, g).values, eval_direct_reference(sym, f, g).values)
 
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_reference_matches_triple_sum(self, n, shift):
+        # sum_{a,b} sigma F_a G_b e^{2 pi i x_j (xi_a + xi_b)} dxi^2, point by
+        # point with every phase exponentiated directly
+        rng = np.random.default_rng(29)
+        f, g = random_pair(rng, n=n)
+        f = SampledFunction(f.origin + shift, f.spacing, f.values)
+        g = SampledFunction(g.origin + shift, g.spacing, g.values)
+        sym = table_symbol(rng, f)
+        F, G = operators._spectra(f, g)
+        A, B = np.meshgrid(F.x, F.x, indexing="ij")
+        terms = sym(0.0, A, B) * np.outer(F.values, G.values)
+        expected = np.array([np.sum(terms * np.exp(2j * np.pi * xj * (A + B))) for xj in f.x]) * F.spacing**2
+        assert close(eval_direct_reference(sym, f, g).values, expected, tol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_reference_product_identity(self, n):
+        rng = np.random.default_rng(20)
+        f, g = random_pair(rng, n)
+        f = SampledFunction(f.origin + 0.3, f.spacing, f.values)
+        g = SampledFunction(g.origin + 0.3, g.spacing, g.values)
+        assert close(eval_direct_reference(product_symbol(), f, g).values, f.values * g.values, tol=1e-12)
+
+    def test_reference_memory_is_linear_in_n(self):
+        # blocks of rows: an n x n phase or symbol table at n = 2048 alone
+        # takes 64 MB
+        line = SingularLine(1.0, -2.0)
+        sym = truncate_near_line(bht_sign_symbol(line), line, 2.0)
+        n = 2048
+        f, g = random_pair(np.random.default_rng(27), n=n, period=n / 8)
+        tracemalloc.start()
+        try:
+            eval_direct_reference(sym, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 def band_limited_pair(n):
     """Two random inputs on the h = 1/8 grid centred at 0, with spectra on |xi| <= 1.5."""
@@ -347,13 +422,15 @@ class TestBhtTruncated:
         assert rel_same > 1.0
 
     def test_matches_node_by_node_definition(self):
-        # the node-by-node algorithm: shift each input spectrally with
-        # dft_inverse at every node, then sum the paired +-y products
+        # the node-by-node algorithm: rebuild the panel rule (octaves cut into
+        # equal-u panels of 12 Gauss-Legendre nodes), shift each input
+        # spectrally with dft_inverse at every node, then sum the paired +-y
+        # products
         import tracemalloc
 
         from bilop.signal import Spectrum, dft_forward, dft_inverse
 
-        npo = 16
+        t, wt = np.polynomial.legendre.leggauss(12)
         eps, R = 0.01, 8.0
         for shift in (0.0, 0.125):
             g = SampledFunction.zeros(-32.0 + shift, 0.25, 256)
@@ -370,18 +447,24 @@ class TestBhtTruncated:
                 phase = np.exp(-2j * np.pi * spec.x * amount)
                 return dft_inverse(Spectrum(spec.origin, spec.spacing, spec.values * phase), g.origin).values
 
-            m = int(np.ceil(np.log2(R / eps) * npo))
-            u = np.linspace(np.log(eps), np.log(R), m + 1)
-            w = np.full(m + 1, u[1] - u[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
             for l1, l2 in [(1.0, -1.0), (1.0, -2.0), (0.7, 2.3)]:
+                top = 2 * np.pi * (abs(l1) + abs(l2)) * 2.0  # 2 pi Xi, Nyquist 2
+                nodes, weights = [], []
+                a = eps
+                while a < R:
+                    b = min(2 * a, R)
+                    panels = int(np.ceil(top * (b - a) / 12.0))
+                    cuts = np.linspace(np.log(a), np.log(b), panels + 1)
+                    for lo, hi in zip(cuts, cuts[1:]):
+                        nodes += list(np.exp(lo + (hi - lo) * (t + 1) / 2))
+                        weights += list((hi - lo) / 2 * wt)
+                    a = b
                 ref = np.zeros(g.n, dtype=complex)
-                for yk, wk in zip(np.exp(u), w):
+                for yk, wk in zip(nodes, weights):
                     plus = shifted(specs[0], l1 * yk) * shifted(specs[1], l2 * yk)
                     minus = shifted(specs[0], -l1 * yk) * shifted(specs[1], -l2 * yk)
                     ref += wk * (plus - minus)
-                out = bht_truncated(f, k, SingularLine(l1, l2), eps, R, nodes_per_octave=npo)
+                out = bht_truncated(f, k, SingularLine(l1, l2), eps, R)
                 assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
         # batches bound the memory: stacking all 2.5k nodes at n = 2048
@@ -396,15 +479,42 @@ class TestBhtTruncated:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_matches_closed_form(self):
+        # the exact multiplier of the truncated kernel, -2i [Si(2 pi t R) -
+        # Si(2 pi t eps)] at t = l1 a + l2 b, through the reference sum; bumps
+        # up to 1.4 + 0.3 on a grid whose Nyquist frequency is 2
+        eps, R = 0.01, 8.0
+        g = SampledFunction.zeros(-32.0, 0.25, 256)
+        for l1, l2 in [(1.0, -2.0), (2.0, 1.0), (0.7, 2.3)]:
+            line = SingularLine(l1, l2)
+
+            def _eval(x, a, b):
+                t, index = np.unique(line.form(a, b), return_inverse=True)
+                m = -2j * (si(2 * np.pi * t * R) - si(2 * np.pi * t * eps))
+                return m[index].reshape(np.shape(a))
+
+            exact = Symbol(eval=_eval, line=line, x_dependent=False)
+            for c in (0.5, 1.0, 1.4):
+                f = make_band_limited_bump(-3.0, 0.6, g, freq_center=c)
+                k = make_band_limited_bump(2.0, 0.6, g, freq_center=-c)
+                ref = eval_direct_reference(exact, f, k).values
+                out = bht_truncated(f, k, line, eps, R).values
+                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), (l1, l2, c)
+
+    def test_node_count_on_benchmark_geometry(self):
+        # n = 256, h = 1/4, eps = 0.01, R = 8 on a line with |l1| + |l2| = 3
+        y, w = operators._bht_nodes(0.01, 8.0, SingularLine(1.0, -2.0), 0.25)
+        assert len(y) <= 420
+        assert abs(np.sum(w) - np.log(800.0)) <= 1e-12
+        assert y.min() > 0.01 and y.max() < 8.0
+
     @pytest.mark.parametrize(
         "kwargs, match",
         [
             ({"eps": 2.0, "R": 1.0}, "eps"),
             ({"eps": 0.1, "R": np.inf}, "R must be finite"),
-            ({"eps": 0.1, "R": 1.0, "nodes_per_octave": 0}, "nodes_per_octave"),
-            ({"eps": 0.1, "R": 1.0, "nodes_per_octave": -4}, "nodes_per_octave"),
         ],
-        ids=["eps_above_R", "R_infinite", "nodes_zero", "nodes_negative"],
+        ids=["eps_above_R", "R_infinite"],
     )
     def test_bad_radii_rejected(self, kwargs, match):
         g = grid(64)
